@@ -179,8 +179,9 @@ fn extract_store_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
 
 /// Extracts the gated ratios from a `BENCH_dist.json` row array: the
 /// structure-determined `frontier_ratio` (packed floats / boundary
-/// floats shipped per sweep) and the deterministic `warm_gain`
-/// (cold / warm iterations) per row, plus the wall-clock
+/// floats shipped per sweep), the deterministic `warm_gain`
+/// (cold / warm iterations) and `warm_update_ratio` (full-sweep /
+/// actual warm node updates) per row, plus the wall-clock
 /// `dist_efficiency` geomean — the latter blessed with a wide tolerance
 /// because it divides two small single-machine timings.
 fn extract_dist_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
@@ -198,6 +199,9 @@ fn extract_dist_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
         if let Some(gain) = row.get("warm_gain").and_then(Value::as_f64) {
             ratios.push((format!("dist/{graph}/w{workers}/warm_gain"), gain));
             gains.push(gain);
+        }
+        if let Some(r) = row.get("warm_update_ratio").and_then(Value::as_f64) {
+            ratios.push((format!("dist/{graph}/w{workers}/warm_update_ratio"), r));
         }
         if let Some(e) = row.get("dist_efficiency").and_then(Value::as_f64) {
             eff.push(e);

@@ -17,6 +17,12 @@
 //! - `warm_gain` — cold / warm iterations for a small evidence delta.
 //!   Deterministic: iteration counts are part of the bit-exactness
 //!   contract.
+//! - `warm_update_ratio` — node updates the warm request's sweeps would
+//!   cost as full sweeps / the updates its queue and full sweeps actually
+//!   computed. Deterministic; a slide back to full-sweep warm runs drops
+//!   it to 1. Only reported (and so only gated) when the warm run
+//!   converged: a run the iteration budget cuts short says nothing about
+//!   the saving.
 //! - `dist_efficiency` — single-process seconds / distributed seconds;
 //!   wall clock, so its baseline is blessed with a wide tolerance.
 //!
@@ -53,6 +59,12 @@ struct Row {
     warm_iterations: u32,
     /// cold / warm iterations; > 1 means the warm delta path won.
     warm_gain: f64,
+    /// Node updates the warm request computed across all its sweeps.
+    warm_node_updates: u64,
+    /// warm iterations × active nodes / `warm_node_updates`: how much the
+    /// queue phase saves over sweeping every node each time; `None`
+    /// when the warm run did not converge.
+    warm_update_ratio: Option<f64>,
     dist_cold_seconds: f64,
     single_cold_seconds: f64,
     /// single / distributed cold seconds; < 1 is the wire overhead.
@@ -112,8 +124,18 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(&[
-        "graph", "workers", "frontier", "ratio", "cold", "warm", "gain", "dist t", "single t",
-        "eff", "bitwise",
+        "graph",
+        "workers",
+        "frontier",
+        "ratio",
+        "cold",
+        "warm",
+        "gain",
+        "upd ratio",
+        "dist t",
+        "single t",
+        "eff",
+        "bitwise",
     ]);
     let mut failed = false;
     for (graph_name, g) in &families {
@@ -191,9 +213,23 @@ fn main() {
             let dist_cold_seconds = t0.elapsed().as_secs_f64();
             assert!(cold.ok, "cold failed: {} {}", cold.error, cold.message);
 
+            let updates_before = router.metrics().snapshot().dist_node_updates;
             let warm = router.infer(&Request::infer("g", &warm_ev));
             assert!(warm.ok, "warm failed: {} {}", warm.error, warm.message);
+            let warm_node_updates = router.metrics().snapshot().dist_node_updates - updates_before;
             router.shutdown_workers();
+            let mut observed = g.clone();
+            for &(v, s) in &warm_ev {
+                observed.observe(v, s as usize);
+            }
+            let active = observed.observed().iter().filter(|&&o| !o).count() as u64;
+            if warm_node_updates != single_warm.node_updates {
+                eprintln!(
+                    "FAIL: workers={k} warm node updates {warm_node_updates} != single-process {}",
+                    single_warm.node_updates
+                );
+                failed = true;
+            }
 
             let equal = bitwise_equal(&cold.posteriors, &want);
             if !equal {
@@ -230,6 +266,10 @@ fn main() {
                 cold_iterations: cold.iterations,
                 warm_iterations: warm.iterations,
                 warm_gain: cold.iterations as f64 / warm.iterations.max(1) as f64,
+                warm_node_updates,
+                warm_update_ratio: warm.converged.then(|| {
+                    (u64::from(warm.iterations) * active) as f64 / warm_node_updates.max(1) as f64
+                }),
                 dist_cold_seconds,
                 single_cold_seconds,
                 dist_efficiency: single_cold_seconds / dist_cold_seconds.max(1e-12),
@@ -243,6 +283,8 @@ fn main() {
                 format!("{}", row.cold_iterations),
                 format!("{}", row.warm_iterations),
                 format!("{:.2}", row.warm_gain),
+                row.warm_update_ratio
+                    .map_or("-".to_string(), |r| format!("{r:.2}")),
                 fmt_secs(row.dist_cold_seconds),
                 fmt_secs(row.single_cold_seconds),
                 format!("{:.2}", row.dist_efficiency),

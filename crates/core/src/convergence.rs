@@ -36,6 +36,15 @@ impl ConvergenceTracker {
         self.iteration < self.max_iterations
     }
 
+    /// Records one iteration that cannot certify convergence (a partial
+    /// sweep, whose sum leaves the skipped nodes out); returns true while
+    /// the iteration budget lasts.
+    pub fn count(&mut self, sum: f32) -> bool {
+        self.iteration += 1;
+        self.last_sum = sum;
+        self.iteration < self.max_iterations
+    }
+
     /// Marks the run converged for a reason other than the sum (e.g. the
     /// work queue drained).
     pub fn mark_converged(&mut self) {
@@ -82,6 +91,16 @@ mod tests {
         assert!(!t.record(10.0));
         assert!(!t.converged());
         assert_eq!(t.iterations(), 3);
+    }
+
+    #[test]
+    fn counted_iterations_share_the_budget_but_never_converge() {
+        let opts = BpOptions::default().with_max_iterations(2);
+        let mut t = ConvergenceTracker::new(&opts);
+        assert!(t.count(0.0));
+        assert!(!t.converged());
+        assert!(!t.record(10.0));
+        assert_eq!(t.iterations(), 2);
     }
 
     #[test]

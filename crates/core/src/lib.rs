@@ -39,8 +39,8 @@ pub use math::{combine_incoming, node_update};
 pub use opts::BpOptions;
 pub use queue::WorkQueue;
 pub use shard::{
-    publish_exports, run_sharded, sweep_shard, ShardSource, ShardState, ShardedEngine,
-    ShardedSession,
+    publish_exports, run_sharded, sweep_shard, FrontierSync, ShardSource, ShardState,
+    ShardedEngine, ShardedSession, SweepPhase, SweepReport, SweepSchedule, WAKE,
 };
 pub use stats::{BpStats, IterationStats};
 pub use warm::{EvidenceDelta, WarmPolicy, WarmRun, WarmSnapshot, WarmState};

@@ -14,9 +14,15 @@
 //! previous run did not converge, it falls back to a cold run.
 //!
 //! The warm schedule is the §3.5 work queue with a restricted initial
-//! population, so its fixed point is the same as a cold run's; posteriors
-//! agree within the convergence tolerance (the integration suite pins
-//! 1e-4 across generator families and delta sizes).
+//! population, so it stops near the cold run's fixed point, not on it:
+//! how near depends on the graph and the stream. Over all nodes of the
+//! perfbench evidence streams the largest |warm − cold| posterior
+//! difference measured 6.7e-4 on 50k×200k (8 observations per request)
+//! and 3.7e-4 on 100k×400k (4 observations); the distributed warm runs
+//! of `ShardedSession`, which end on a certifying full sweep, measured
+//! 1.5e-4 to 2.0e-4. The 1e-4 asserts in the unit and integration suites
+//! hold on their small test graphs and on the sampled nodes they check,
+//! not as a bound over every node of a large graph.
 
 use crate::engine::EngineError;
 use crate::opts::BpOptions;

@@ -86,7 +86,12 @@ impl ByteWriter {
 
 /// Writes one framed message.
 pub fn write_msg<W: Write>(w: &mut W, msg: &WireMsg) -> std::io::Result<()> {
-    let payload = msg.encode();
+    write_frame(w, &msg.encode())
+}
+
+/// Writes one already-encoded payload ([`WireMsg::encode`]) as a frame —
+/// for sending the same message to several peers without re-encoding.
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     let len = payload.len() as u64;
     if len == 0 || len > MAX_WIRE_FRAME as u64 {
         return Err(std::io::Error::new(
@@ -95,7 +100,7 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &WireMsg) -> std::io::Result<()> {
         ));
     }
     w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    w.write_all(payload)?;
     w.flush()
 }
 

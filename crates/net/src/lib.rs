@@ -15,6 +15,6 @@ pub mod frame;
 pub mod msg;
 pub mod ring;
 
-pub use frame::{read_msg, write_msg, ByteWriter, MAX_WIRE_FRAME};
+pub use frame::{read_msg, write_frame, write_msg, ByteWriter, MAX_WIRE_FRAME};
 pub use msg::WireMsg;
 pub use ring::HashRing;

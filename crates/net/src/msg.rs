@@ -1,38 +1,49 @@
 //! The router ↔ shard-worker message set.
 //!
-//! The conversation mirrors the single-process sharded sweep
-//! (`credo_core::run_sharded`) exactly, with the double-buffered
-//! frontier cut at the process boundary:
+//! The conversation mirrors the single-process sharded session
+//! (`credo_core::ShardedSession`) exactly, with the frontier cut at the
+//! process boundary:
 //!
 //! ```text
-//! router                                worker k
-//!   LoadShard {spec/store key, copies} ──▶  compile or mmap ExecShard k
-//!   ◀──────────────────────── ShardReady
-//!   RunStart {reset, observe, clear}  ──▶  apply evidence, rebuild state
-//!   ◀────────────── RunReady {exports}     (current boundary beliefs)
-//!   Sweep {halo floats}               ──▶  one Jacobi sweep
-//!   ◀──── SweepDone {exports, diffs}       (t-state boundary + L1 diffs)
-//!   … until the router's tracker converges …
-//!   Collect                           ──▶
-//!   ◀──────────── Beliefs {packed}         (local posterior region)
+//! router                                    worker k
+//!   LoadShard {spec/store key, copies}  ──▶  compile or mmap ExecShard k
+//!   ◀──────────────────────────── ShardReady
+//!   RunStart {reset, observe, clear,    ──▶  apply evidence, seed the queue
+//!             queue_threshold}
+//!   ◀── RunReady {queued, slots, exports}    (touched exports; all on reset)
+//! every sweep (warm: queue phase then full phase; cold: full only):
+//!   SparseSweep {full, slots, halo}     ──▶  queue (or full) sweep
+//!   ◀── SparseSweepDone {slots, exports,     (moved exports, wake bits,
+//!                        diffs, queued}       computed diffs)
+//!   … until a full sweep's global sum is below the threshold …
+//!   Collect                             ──▶
+//!   ◀──────────── Beliefs {full, nodes, packed}  (nodes moved since the
+//!                                                 last collect; all on reset)
 //! ```
 //!
-//! The halo payload a worker receives is its import list's frontier
-//! values, re-based to a contiguous array (copy order = halo slot
-//! order), so worker-side sweeps read exactly the floats the
-//! single-process runner would have copied from its frontier buffer.
-//! Diffs come back per active local node in ascending id order; the
-//! router concatenates them shard-by-shard and left-folds the global
-//! convergence sum in the same order as the resident runner — bit
-//! identity of the f32 fold is what keeps distributed posteriors equal
-//! to `ShardedEngine`'s.
+//! Sweeps ship sparse entries: `slots` are copy indices (import indices
+//! router → worker, export indices worker → router) whose top bit
+//! (`credo_core::WAKE`) says the node crossed the queue threshold, and
+//! the payload floats are the entries' beliefs concatenated. The router
+//! keeps a persistent frontier and ships each shard only the halo
+//! entries that moved since its last sweep (every entry after a reset),
+//! so the worker's halo slots always match what the single-process
+//! session would have copied. Diffs come back for the computed nodes
+//! only, ascending; the router left-folds them shard by shard — skipped
+//! nodes would add exact zeros, so the `f32` sum is the full sweep's,
+//! and bit identity of that fold is what keeps distributed posteriors
+//! equal to `ShardedSession`'s.
+//!
+//! The dense [`WireMsg::Sweep`]/[`WireMsg::SweepDone`] pair of wire
+//! version 1 keeps its codec, but router and worker no longer exchange
+//! it; a worker answers it with `bad_request`.
 
 use crate::frame::ByteWriter;
 use credo_graph::ShardCopy;
 use credo_io::{ByteReader, IoError};
 
 /// Protocol version; bumped on any wire-layout change.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 const TAG_PING: u8 = 1;
 const TAG_PONG: u8 = 2;
@@ -46,6 +57,8 @@ const TAG_COLLECT: u8 = 9;
 const TAG_BELIEFS: u8 = 10;
 const TAG_ERROR: u8 = 11;
 const TAG_SHUTDOWN: u8 = 12;
+const TAG_SPARSE_SWEEP: u8 = 13;
+const TAG_SPARSE_SWEEP_DONE: u8 = 14;
 
 /// One router ↔ worker message. See the module docs for the protocol
 /// flow; every variant carries the graph id so one worker can hold
@@ -112,9 +125,13 @@ pub enum WireMsg {
         observe: Vec<(u32, u32)>,
         /// Global node ids to release back to their priors.
         clear: Vec<u32>,
+        /// The run's queue threshold: in a queue-phase sweep a node
+        /// changing by at least this much queues its readers.
+        queue_threshold: f32,
     },
-    /// Worker's answer to [`WireMsg::RunStart`]: its current boundary
-    /// beliefs, so the router can seed the frontier.
+    /// Worker's answer to [`WireMsg::RunStart`]: the boundary beliefs
+    /// the evidence touched (every export after a reset), so the router
+    /// can update its frontier.
     RunReady {
         /// Graph id.
         graph: String,
@@ -124,11 +141,16 @@ pub enum WireMsg {
         index: u32,
         /// Active (unobserved) local node count.
         active: u64,
-        /// Exports payload: current boundary beliefs in export order.
+        /// Nodes queued for the first queue-phase sweep.
+        queued: u64,
+        /// Export indices (top bit: wake the importers), ascending.
+        slots: Vec<u32>,
+        /// The entries' beliefs, concatenated.
         exports: Vec<f32>,
     },
-    /// One Jacobi sweep: the halo payload holds the previous sweep's
-    /// frontier values in this shard's import order.
+    /// A dense full sweep (wire version 1): the halo payload holds the
+    /// previous sweep's frontier values in this shard's import order.
+    /// Kept in the codec only; sweeps travel as [`WireMsg::SparseSweep`].
     Sweep {
         /// Graph id.
         graph: String,
@@ -157,7 +179,47 @@ pub enum WireMsg {
         /// Message updates this sweep (for stats).
         messages: u64,
     },
-    /// Asks for the shard's packed posterior region.
+    /// One sweep. `slots` are the import indices whose frontier beliefs
+    /// moved since the shard's last sweep — all of them after a reset —
+    /// (top bit: queue the slot's readers), `halo` their beliefs
+    /// concatenated.
+    SparseSweep {
+        /// Graph id.
+        graph: String,
+        /// Echoed run id.
+        run_id: u64,
+        /// Sweep number (0-based), for desync detection.
+        sweep: u32,
+        /// Full sweep (every active node) rather than a queue sweep.
+        full: bool,
+        /// Import indices, with wake bits.
+        slots: Vec<u32>,
+        /// The entries' beliefs, concatenated.
+        halo: Vec<f32>,
+    },
+    /// Worker's answer to [`WireMsg::SparseSweep`].
+    SparseSweepDone {
+        /// Graph id.
+        graph: String,
+        /// Echoed run id.
+        run_id: u64,
+        /// Echoed sweep number.
+        sweep: u32,
+        /// Shard index.
+        index: u32,
+        /// Export indices whose beliefs moved, ascending (top bit: the
+        /// node crossed the queue threshold).
+        slots: Vec<u32>,
+        /// The entries' beliefs, concatenated.
+        exports: Vec<f32>,
+        /// L1 change of every computed node, ascending local id.
+        diffs: Vec<f32>,
+        /// Nodes queued for the next queue-phase sweep.
+        queued: u64,
+        /// Message updates this sweep (for stats).
+        messages: u64,
+    },
+    /// Asks for the shard's beliefs changed since the last collect.
     Collect {
         /// Graph id.
         graph: String,
@@ -172,7 +234,13 @@ pub enum WireMsg {
         run_id: u64,
         /// Shard index.
         index: u32,
-        /// The shard's local packed belief region.
+        /// `packed` is the whole local region (after a reset or load);
+        /// otherwise it holds the beliefs of `nodes`.
+        full: bool,
+        /// Local node ids whose beliefs moved, ascending (empty when
+        /// `full`).
+        nodes: Vec<u32>,
+        /// The beliefs, concatenated.
         packed: Vec<f32>,
     },
     /// Either side signalling a structured failure.
@@ -290,6 +358,7 @@ impl WireMsg {
                 reset,
                 observe,
                 clear,
+                queue_threshold,
             } => {
                 w.u8(TAG_RUN_START);
                 w.str(graph);
@@ -301,12 +370,15 @@ impl WireMsg {
                     w.u32(s);
                 }
                 w.u32s(clear);
+                w.f32(*queue_threshold);
             }
             WireMsg::RunReady {
                 graph,
                 run_id,
                 index,
                 active,
+                queued,
+                slots,
                 exports,
             } => {
                 w.u8(TAG_RUN_READY);
@@ -314,6 +386,8 @@ impl WireMsg {
                 w.u64(*run_id);
                 w.u32(*index);
                 w.u64(*active);
+                w.u64(*queued);
+                w.u32s(slots);
                 w.f32s(exports);
             }
             WireMsg::Sweep {
@@ -346,6 +420,44 @@ impl WireMsg {
                 w.f32s(diffs);
                 w.u64(*messages);
             }
+            WireMsg::SparseSweep {
+                graph,
+                run_id,
+                sweep,
+                full,
+                slots,
+                halo,
+            } => {
+                w.u8(TAG_SPARSE_SWEEP);
+                w.str(graph);
+                w.u64(*run_id);
+                w.u32(*sweep);
+                w.u8(u8::from(*full));
+                w.u32s(slots);
+                w.f32s(halo);
+            }
+            WireMsg::SparseSweepDone {
+                graph,
+                run_id,
+                sweep,
+                index,
+                slots,
+                exports,
+                diffs,
+                queued,
+                messages,
+            } => {
+                w.u8(TAG_SPARSE_SWEEP_DONE);
+                w.str(graph);
+                w.u64(*run_id);
+                w.u32(*sweep);
+                w.u32(*index);
+                w.u32s(slots);
+                w.f32s(exports);
+                w.f32s(diffs);
+                w.u64(*queued);
+                w.u64(*messages);
+            }
             WireMsg::Collect { graph, run_id } => {
                 w.u8(TAG_COLLECT);
                 w.str(graph);
@@ -355,12 +467,16 @@ impl WireMsg {
                 graph,
                 run_id,
                 index,
+                full,
+                nodes,
                 packed,
             } => {
                 w.u8(TAG_BELIEFS);
                 w.str(graph);
                 w.u64(*run_id);
                 w.u32(*index);
+                w.u8(u8::from(*full));
+                w.u32s(nodes);
                 w.f32s(packed);
             }
             WireMsg::Error { code, message } => {
@@ -413,12 +529,15 @@ impl WireMsg {
                 reset: read_bool(&mut r, "reset")?,
                 observe: read_pairs(&mut r, "observe")?,
                 clear: r.u32s("clear")?,
+                queue_threshold: r.f32("queue_threshold")?,
             },
             TAG_RUN_READY => WireMsg::RunReady {
                 graph: read_str(&mut r, "graph")?,
                 run_id: r.u64("run_id")?,
                 index: r.u32("index")?,
                 active: r.u64("active")?,
+                queued: r.u64("queued")?,
+                slots: r.u32s("slots")?,
                 exports: r.f32s("exports")?,
             },
             TAG_SWEEP => WireMsg::Sweep {
@@ -436,6 +555,25 @@ impl WireMsg {
                 diffs: r.f32s("diffs")?,
                 messages: r.u64("messages")?,
             },
+            TAG_SPARSE_SWEEP => WireMsg::SparseSweep {
+                graph: read_str(&mut r, "graph")?,
+                run_id: r.u64("run_id")?,
+                sweep: r.u32("sweep")?,
+                full: read_bool(&mut r, "full")?,
+                slots: r.u32s("slots")?,
+                halo: r.f32s("halo")?,
+            },
+            TAG_SPARSE_SWEEP_DONE => WireMsg::SparseSweepDone {
+                graph: read_str(&mut r, "graph")?,
+                run_id: r.u64("run_id")?,
+                sweep: r.u32("sweep")?,
+                index: r.u32("index")?,
+                slots: r.u32s("slots")?,
+                exports: r.f32s("exports")?,
+                diffs: r.f32s("diffs")?,
+                queued: r.u64("queued")?,
+                messages: r.u64("messages")?,
+            },
             TAG_COLLECT => WireMsg::Collect {
                 graph: read_str(&mut r, "graph")?,
                 run_id: r.u64("run_id")?,
@@ -444,6 +582,8 @@ impl WireMsg {
                 graph: read_str(&mut r, "graph")?,
                 run_id: r.u64("run_id")?,
                 index: r.u32("index")?,
+                full: read_bool(&mut r, "full")?,
+                nodes: r.u32s("nodes")?,
                 packed: r.f32s("packed")?,
             },
             TAG_ERROR => WireMsg::Error {
@@ -461,6 +601,9 @@ impl WireMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The wake bit `credo_core::WAKE` sets on sparse entry indices.
+    const WAKE_BIT: u32 = 1 << 31;
 
     fn sample_msgs() -> Vec<WireMsg> {
         vec![
@@ -498,13 +641,16 @@ mod tests {
                 reset: false,
                 observe: vec![(3, 1), (900, 0)],
                 clear: vec![17],
+                queue_threshold: 1e-3,
             },
             WireMsg::RunReady {
                 graph: "g0".into(),
                 run_id: 7,
                 index: 2,
                 active: 248,
-                exports: vec![0.5, 0.5, 0.1],
+                queued: 9,
+                slots: vec![0, 3 | WAKE_BIT],
+                exports: vec![0.5, 0.5, 0.1, 0.9],
             },
             WireMsg::Sweep {
                 graph: "g0".into(),
@@ -521,6 +667,33 @@ mod tests {
                 diffs: vec![0.0, 1.5e-3],
                 messages: 480,
             },
+            WireMsg::SparseSweep {
+                graph: "g0".into(),
+                run_id: 7,
+                sweep: 1,
+                full: false,
+                slots: vec![2, 5 | WAKE_BIT],
+                halo: vec![0.25, 0.75, 0.5, 0.5],
+            },
+            WireMsg::SparseSweep {
+                graph: "g0".into(),
+                run_id: 7,
+                sweep: 4,
+                full: true,
+                slots: vec![],
+                halo: vec![],
+            },
+            WireMsg::SparseSweepDone {
+                graph: "g0".into(),
+                run_id: 7,
+                sweep: 1,
+                index: 2,
+                slots: vec![1 | WAKE_BIT, 6],
+                exports: vec![0.4, 0.6, 0.3, 0.7],
+                diffs: vec![2.5e-3, 0.0, 1.5e-3],
+                queued: 12,
+                messages: 96,
+            },
             WireMsg::Collect {
                 graph: "g0".into(),
                 run_id: 7,
@@ -529,6 +702,16 @@ mod tests {
                 graph: "g0".into(),
                 run_id: 7,
                 index: 2,
+                full: false,
+                nodes: vec![4, 19],
+                packed: vec![0.125, 0.875, 0.5, 0.5],
+            },
+            WireMsg::Beliefs {
+                graph: "g0".into(),
+                run_id: 8,
+                index: 2,
+                full: true,
+                nodes: vec![],
                 packed: vec![0.125, 0.875],
             },
             WireMsg::Error {

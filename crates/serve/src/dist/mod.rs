@@ -7,13 +7,17 @@
 //! when the router pre-seeded it, compiled from the generator spec
 //! otherwise — and keeps the persistent
 //! [`credo_core::ShardState`] between runs. The router ([`DistRouter`])
-//! owns the boundary frontier: per sweep it gathers each shard's halo
-//! payload from the previous frontier, sends every `Sweep` before
-//! receiving any `SweepDone` (so worker compute overlaps), scatters the
-//! returned exports into the next frontier, and left-folds the
-//! convergence sum in shard order — the identical `f32` fold the
+//! owns a persistent [`credo_core::FrontierSync`] and runs the session's
+//! [`credo_core::SweepSchedule`]: per sweep it sends every shard with
+//! work its halo entries before receiving any reply (so worker compute
+//! overlaps) — only the entries that moved plus wake bits (every entry
+//! once after a reset); a warm run's queue-phase sweeps skip idle
+//! shards —
+//! publishes the returned exports into the frontier, and left-folds the
+//! convergence sum in shard order: the identical `f32` fold the
 //! single-process session computes, which is what keeps distributed
-//! posteriors **bit-identical** to `ShardedEngine`'s.
+//! posteriors **bit-identical** to `ShardedSession`'s (and, for cold
+//! runs, to `ShardedEngine`'s).
 //!
 //! Placement uses the [`credo_net::HashRing`]: shard `k` of graph `g`
 //! lands on `ring.node_for("g/k")`, probing `"g/k@1"`, `"g/k@2"`, … on

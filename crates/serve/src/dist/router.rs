@@ -9,9 +9,9 @@ use crate::protocol::{
     OP_PING, OP_SHUTDOWN, OP_STATS,
 };
 use crate::reactor::{ReactorHandler, ReplySink};
-use credo_core::{BpOptions, ConvergenceTracker, Dispatch};
+use credo_core::{BpOptions, Dispatch, FrontierSync, SweepPhase, SweepSchedule};
 use credo_graph::{BeliefGraph, ShardCopy, ShardedExec, ShardedMeta};
-use credo_net::{read_msg, write_msg, HashRing, WireMsg};
+use credo_net::{read_msg, write_frame, write_msg, HashRing, WireMsg};
 use credo_store::{structural_hash, PlanStore, SourceKey};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
@@ -78,7 +78,12 @@ struct DistGraph {
     /// original frontier-indexed lists in `meta`).
     wire_imports: Vec<Vec<ShardCopy>>,
     wire_exports: Vec<Vec<ShardCopy>>,
-    export_len: Vec<usize>,
+    /// The persistent frontier plus, per shard, the halo entries its
+    /// worker has not seen yet and the ones whose readers must queue.
+    frontier: FrontierSync,
+    /// Posteriors as of the last collect; workers ship only the nodes
+    /// that moved since.
+    mirror: Arc<Vec<f32>>,
     /// Shard `k` lives on worker `assignment[k]`; empty until placed.
     assignment: Vec<String>,
     loaded: Vec<bool>,
@@ -106,48 +111,79 @@ enum RunError {
 struct RunResult {
     iterations: u32,
     converged: bool,
-    beliefs: Vec<f32>,
+    beliefs: Arc<Vec<f32>>,
     reset: bool,
 }
 
-/// Re-bases a frontier-indexed copy list to a contiguous payload: copy
+/// Re-bases frontier-indexed copy lists to contiguous payloads: copy
 /// order is preserved, `frontier_off` becomes the running prefix.
-fn rebase(copies: &[ShardCopy]) -> (Vec<ShardCopy>, usize) {
-    let mut off = 0u32;
-    let out = copies
+fn rebase_all(lists: &[Vec<ShardCopy>]) -> Vec<Vec<ShardCopy>> {
+    lists
         .iter()
-        .map(|c| {
-            let r = ShardCopy {
-                local_off: c.local_off,
-                frontier_off: off,
-                card: c.card,
-            };
-            off += u32::from(c.card);
-            r
+        .map(|copies| {
+            let mut off = 0u32;
+            copies
+                .iter()
+                .map(|c| {
+                    let r = ShardCopy {
+                        frontier_off: off,
+                        ..*c
+                    };
+                    off += u32::from(c.card);
+                    r
+                })
+                .collect()
         })
-        .collect();
-    (out, off as usize)
+        .collect()
 }
 
-/// Gathers a shard's halo payload out of the frontier (list order =
-/// wire payload order).
-fn gather(imports: &[ShardCopy], frontier: &[f32], halo: &mut Vec<f32>) {
-    halo.clear();
-    for c in imports {
-        let f = c.frontier_off as usize;
-        halo.extend_from_slice(&frontier[f..f + c.card as usize]);
+/// Writes one collected shard region into the posterior mirror: the
+/// whole `[lo, hi)` region when `full`, otherwise the beliefs of the
+/// local `nodes`. Out-of-range ids or a length mismatch are rejected
+/// before anything is written.
+fn apply_beliefs(
+    global_off: &[usize],
+    lo: u32,
+    hi: u32,
+    mirror: &mut [f32],
+    full: bool,
+    nodes: &[u32],
+    packed: &[f32],
+) -> Result<(), String> {
+    let at = |v: u32| global_off[(lo + v) as usize];
+    if full {
+        let (from, to) = (global_off[lo as usize], global_off[hi as usize]);
+        if packed.len() != to - from {
+            return Err(format!(
+                "region of {} floats, shard packs {}",
+                packed.len(),
+                to - from
+            ));
+        }
+        mirror[from..to].copy_from_slice(packed);
+        return Ok(());
     }
-}
-
-/// Scatters a shard's contiguous exports payload into the frontier.
-fn scatter(exports: &[ShardCopy], payload: &[f32], frontier: &mut [f32]) {
-    let mut off = 0usize;
-    for c in exports {
-        let f = c.frontier_off as usize;
-        let w = c.card as usize;
-        frontier[f..f + w].copy_from_slice(&payload[off..off + w]);
-        off += w;
+    let owned = hi - lo;
+    let mut need = 0usize;
+    for &v in nodes {
+        if v >= owned {
+            return Err(format!("node {v} out of range: the shard owns {owned}"));
+        }
+        need += at(v + 1) - at(v);
     }
+    if need != packed.len() {
+        return Err(format!(
+            "{} belief floats for nodes needing {need}",
+            packed.len()
+        ));
+    }
+    let mut from = 0usize;
+    for &v in nodes {
+        let (a, b) = (at(v), at(v + 1));
+        mirror[a..b].copy_from_slice(&packed[from..from + b - a]);
+        from += b - a;
+    }
+    Ok(())
 }
 
 /// Places `k` shards of `id` on distinct live workers: shard `j` prefers
@@ -243,6 +279,43 @@ fn recv_from(links: &mut HashMap<String, TcpStream>, addr: &str) -> Result<WireM
     }
 }
 
+fn send_frame(
+    links: &mut HashMap<String, TcpStream>,
+    addr: &str,
+    payload: &[u8],
+) -> Result<(), RunError> {
+    let Some(stream) = links.get_mut(addr) else {
+        return Err(RunError::Worker {
+            addr: addr.to_string(),
+            message: "no live link".into(),
+        });
+    };
+    write_frame(stream, payload).map_err(|e| RunError::Worker {
+        addr: addr.to_string(),
+        message: e.to_string(),
+    })
+}
+
+/// A reply whose sparse entries do not fit the shard.
+fn desync(addr: &str, message: String) -> RunError {
+    RunError::Worker {
+        addr: addr.to_string(),
+        message: format!("desync: {message}"),
+    }
+}
+
+/// A reply of the wrong kind (or for the wrong run or shard).
+fn unexpected(addr: &str, request: &str, reply: WireMsg) -> RunError {
+    let message = match reply {
+        WireMsg::Error { code, message } => format!("{code}: {message}"),
+        other => format!("{request} answered with {other:?}"),
+    };
+    RunError::Worker {
+        addr: addr.to_string(),
+        message,
+    }
+}
+
 /// The distributed router: compiles each graph's sharded plan once,
 /// places shards on workers through the hash ring, and drives the
 /// per-sweep boundary exchange. `infer` is deliberately `&mut self` —
@@ -324,7 +397,10 @@ impl DistRouter {
                 .save_sharded(key, spec, structural_hash(graph), &sx)
                 .map_err(|e| e.to_string())?;
         }
-        let meta = sx.meta;
+        // The router keeps only the metadata: free the shards before
+        // building the per-graph state, so the two never peak together.
+        let ShardedExec { meta, shards } = sx;
+        drop(shards);
         let mut global_off = Vec::with_capacity(meta.num_nodes + 1);
         let mut off = 0usize;
         for &c in &meta.cards {
@@ -332,10 +408,9 @@ impl DistRouter {
             off += c as usize;
         }
         global_off.push(off);
-        let (wire_imports, _): (Vec<_>, Vec<_>) = meta.imports.iter().map(|l| rebase(l)).unzip();
-        let (wire_exports, export_len): (Vec<_>, Vec<_>) =
-            meta.exports.iter().map(|l| rebase(l)).unzip();
+        let (wire_imports, wire_exports) = (rebase_all(&meta.imports), rebase_all(&meta.exports));
         let shard_count = meta.num_shards();
+        let frontier = FrontierSync::new(&meta);
         self.graphs.insert(
             id.to_string(),
             DistGraph {
@@ -346,7 +421,8 @@ impl DistRouter {
                 global_off,
                 wire_imports,
                 wire_exports,
-                export_len,
+                frontier,
+                mirror: Arc::new(vec![0.0; off]),
                 assignment: Vec::new(),
                 loaded: vec![false; shard_count],
                 evidence: BTreeMap::new(),
@@ -415,7 +491,7 @@ impl DistRouter {
                     if req.fresh {
                         Metrics::inc(&self.metrics.fresh_runs);
                     }
-                    let beliefs = Arc::new(run.beliefs);
+                    let beliefs = run.beliefs;
                     let g = self.graphs.get_mut(&req.graph).expect("checked above");
                     if run.converged && !req.fresh {
                         g.cache.put(key, Arc::clone(&beliefs));
@@ -567,12 +643,19 @@ impl DistRouter {
     }
 
     /// One distributed run: RunStart fan-out, boundary-exchange sweeps
-    /// to convergence, posterior collection. The convergence sum is a
-    /// running `f32` fold over each shard's ascending-id active diffs in
-    /// shard order — the identical fold `ShardedSession::run` computes,
-    /// so iteration counts and posteriors match it bit for bit.
-    // `j` indexes four parallel per-shard arrays (assignment, active,
-    // exports, export_len); iterator zips would obscure the shard-order
+    /// to convergence, collection of the moved posteriors.
+    ///
+    /// Every run follows the same [`SweepSchedule`] as
+    /// `ShardedSession::run` and ships only the halo entries that moved
+    /// (after a reset, every entry once). A cold run (reset) sweeps the
+    /// full schedule; a warm run first sweeps the changed-evidence queue
+    /// (shards with nothing queued and nothing woken are skipped), then
+    /// full sweeps until one certifies convergence. The convergence sum
+    /// is a running `f32` fold over each shard's ascending-id computed
+    /// diffs in shard order — the identical fold the session computes, so
+    /// iteration counts and posteriors match it bit for bit.
+    // `j` indexes the parallel per-shard arrays (assignment, active,
+    // queued, swept); iterator zips would obscure the shard-order
     // send-all/receive-all structure the bit-exactness fold depends on.
     #[allow(clippy::needless_range_loop)]
     fn run_once(
@@ -588,6 +671,8 @@ impl DistRouter {
         let g = self.graphs.get_mut(id).expect("graph exists");
         let links = &mut self.links;
         let trace = &self.trace;
+        let metrics = &self.metrics;
+        let opts = &self.cfg.opts;
         let k = g.meta.num_shards();
         let reset = g.needs_reset || fresh;
         let target: BTreeMap<u32, u32> = evidence.iter().copied().collect();
@@ -613,22 +698,21 @@ impl DistRouter {
             "dist_run",
             &[("shards", (k as u64).into()), ("run_id", run_id.into())],
         );
+        // The same message goes to every shard: encode it once.
+        let start = WireMsg::RunStart {
+            graph: id.to_string(),
+            run_id,
+            reset,
+            observe,
+            clear,
+            queue_threshold: opts.queue_threshold,
+        }
+        .encode();
         for j in 0..k {
-            send_to(
-                links,
-                &g.assignment[j],
-                &WireMsg::RunStart {
-                    graph: id.to_string(),
-                    run_id,
-                    reset,
-                    observe: observe.clone(),
-                    clear: clear.clone(),
-                },
-            )?;
+            send_frame(links, &g.assignment[j], &start)?;
         }
         let mut active = vec![0u64; k];
-        let mut frontier_prev = vec![0.0f32; g.meta.frontier_len()];
-        let mut frontier_next = vec![0.0f32; g.meta.frontier_len()];
+        let mut queued = vec![0u64; k];
         for j in 0..k {
             let addr = &g.assignment[j];
             match recv_from(links, addr)? {
@@ -636,155 +720,160 @@ impl DistRouter {
                     run_id: r,
                     index,
                     active: a,
+                    queued: q,
+                    slots,
                     exports,
                     ..
-                } if r == run_id && index == j as u32 && exports.len() == g.export_len[j] => {
-                    scatter(&g.meta.exports[j], &exports, &mut frontier_prev);
+                } if r == run_id && index == j as u32 => {
+                    g.frontier
+                        .publish(j, &slots, &exports)
+                        .map_err(|e| desync(addr, e))?;
                     active[j] = a;
+                    queued[j] = q;
                 }
-                WireMsg::Error { code, message } => {
-                    return Err(RunError::Worker {
-                        addr: addr.clone(),
-                        message: format!("{code}: {message}"),
-                    });
-                }
-                other => {
-                    return Err(RunError::Worker {
-                        addr: addr.clone(),
-                        message: format!("RunStart answered with {other:?}"),
-                    });
-                }
+                other => return Err(unexpected(addr, "RunStart", other)),
             }
         }
+        if reset {
+            // Reset or reloaded workers hold stale halo slots.
+            g.frontier.resync();
+        }
 
-        let mut tracker = ConvergenceTracker::new(&self.cfg.opts);
+        let any_queued = |queued: &[u64], frontier: &FrontierSync| {
+            queued.iter().any(|&q| q > 0) || frontier.any_wakes()
+        };
+        let mut schedule = SweepSchedule::new(opts, !reset && any_queued(&queued, &g.frontier));
         let total_active: u64 = active.iter().sum();
-        let mut halo: Vec<f32> = Vec::new();
+        let mut swept = vec![false; k];
+        let (mut slots, mut halo) = (Vec::new(), Vec::new());
         let mut sweep_no = 0u32;
-        if total_active == 0 {
-            tracker.mark_converged();
-        } else {
-            loop {
-                let sweep_span = trace.span(
-                    "frontier_exchange",
-                    &[
-                        ("sweep", u64::from(sweep_no).into()),
-                        ("frontier", (frontier_prev.len() as u64).into()),
-                    ],
-                );
-                // Send every shard's halo before receiving any result:
-                // worker sweeps run in parallel across processes.
-                for j in 0..k {
-                    if active[j] == 0 && g.meta.exports[j].is_empty() {
-                        continue;
-                    }
-                    gather(&g.meta.imports[j], &frontier_prev, &mut halo);
-                    send_to(
-                        links,
-                        &g.assignment[j],
-                        &WireMsg::Sweep {
-                            graph: id.to_string(),
-                            run_id,
-                            sweep: sweep_no,
-                            halo: halo.clone(),
-                        },
-                    )?;
-                }
-                let mut sum = 0.0f32;
-                for j in 0..k {
-                    if active[j] == 0 && g.meta.exports[j].is_empty() {
-                        continue;
-                    }
-                    let addr = &g.assignment[j];
-                    match recv_from(links, addr)? {
-                        WireMsg::SweepDone {
-                            run_id: r,
-                            sweep: s,
-                            index,
-                            exports,
-                            diffs,
-                            ..
-                        } if r == run_id
-                            && s == sweep_no
-                            && index == j as u32
-                            && exports.len() == g.export_len[j]
-                            && diffs.len() == active[j] as usize =>
-                        {
-                            scatter(&g.meta.exports[j], &exports, &mut frontier_next);
-                            for &d in &diffs {
-                                sum += d;
-                            }
-                        }
-                        WireMsg::Error { code, message } => {
-                            return Err(RunError::Worker {
-                                addr: addr.clone(),
-                                message: format!("{code}: {message}"),
-                            });
-                        }
-                        other => {
-                            return Err(RunError::Worker {
-                                addr: addr.clone(),
-                                message: format!("Sweep answered with {other:?}"),
-                            });
-                        }
-                    }
-                }
-                std::mem::swap(&mut frontier_prev, &mut frontier_next);
-                sweep_no += 1;
-                Metrics::inc(&self.metrics.dist_sweeps);
-                if trace.enabled() {
-                    sweep_span.record(&[("delta", sum.into())]);
-                }
-                drop(sweep_span);
-                if !tracker.record(sum) {
-                    break;
-                }
+        loop {
+            if total_active == 0 {
+                schedule.mark_converged();
+                break;
             }
-        }
-
-        for j in 0..k {
-            send_to(
-                links,
-                &g.assignment[j],
-                &WireMsg::Collect {
+            let phase = schedule.phase();
+            let sweep_span = trace.span(
+                "frontier_exchange",
+                &[
+                    ("sweep", u64::from(sweep_no).into()),
+                    ("phase", phase.name().into()),
+                    ("frontier", (g.meta.frontier_len() as u64).into()),
+                ],
+            );
+            // Send every shard's halo before receiving any result:
+            // worker sweeps run in parallel across processes.
+            for j in 0..k {
+                swept[j] = match phase {
+                    SweepPhase::Full => active[j] > 0,
+                    SweepPhase::Queue => queued[j] > 0 || g.frontier.has_wakes(j),
+                };
+                if !swept[j] {
+                    continue;
+                }
+                g.frontier.take_halo(j, &mut slots, &mut halo);
+                let msg = WireMsg::SparseSweep {
                     graph: id.to_string(),
                     run_id,
-                },
-            )?;
+                    sweep: sweep_no,
+                    full: phase == SweepPhase::Full,
+                    slots: std::mem::take(&mut slots),
+                    halo: std::mem::take(&mut halo),
+                };
+                send_to(links, &g.assignment[j], &msg)?;
+            }
+            let (mut sum, mut nodes) = (0.0f32, 0u64);
+            for j in 0..k {
+                if !swept[j] {
+                    continue;
+                }
+                let addr = &g.assignment[j];
+                let (diffs, q) = match recv_from(links, addr)? {
+                    WireMsg::SparseSweepDone {
+                        run_id: r,
+                        sweep: s,
+                        index,
+                        slots,
+                        exports,
+                        diffs,
+                        queued: q,
+                        ..
+                    } if r == run_id && s == sweep_no && index == j as u32 => {
+                        g.frontier
+                            .publish(j, &slots, &exports)
+                            .map_err(|e| desync(addr, e))?;
+                        (diffs, q)
+                    }
+                    other => return Err(unexpected(addr, "Sweep", other)),
+                };
+                let computed = diffs.len() as u64;
+                if computed > active[j] || (phase == SweepPhase::Full && computed != active[j]) {
+                    return Err(desync(
+                        addr,
+                        format!(
+                            "{computed} diffs from a shard with {} active nodes",
+                            active[j]
+                        ),
+                    ));
+                }
+                queued[j] = q;
+                for &d in &diffs {
+                    sum += d;
+                }
+                nodes += computed;
+            }
+            sweep_no += 1;
+            Metrics::inc(&metrics.dist_sweeps);
+            Metrics::add(&metrics.dist_node_updates, nodes);
+            if phase == SweepPhase::Full {
+                Metrics::inc(&metrics.dist_full_sweeps);
+            }
+            if trace.enabled() {
+                sweep_span.record(&[("delta", sum.into()), ("nodes", nodes.into())]);
+            }
+            drop(sweep_span);
+            if !schedule.record(sum, any_queued(&queued, &g.frontier)) {
+                break;
+            }
         }
-        let mut beliefs = vec![0.0f32; *g.global_off.last().expect("offsets non-empty")];
+        g.frontier.clear_wakes();
+
+        let collect = WireMsg::Collect {
+            graph: id.to_string(),
+            run_id,
+        }
+        .encode();
+        for j in 0..k {
+            send_frame(links, &g.assignment[j], &collect)?;
+        }
+        let mirror = Arc::make_mut(&mut g.mirror);
         for j in 0..k {
             let addr = &g.assignment[j];
-            let (lo, hi) = g.meta.ranges[j];
-            let from = g.global_off[lo as usize];
-            let to = g.global_off[hi as usize];
             match recv_from(links, addr)? {
                 WireMsg::Beliefs {
                     run_id: r,
                     index,
+                    full,
+                    nodes,
                     packed,
                     ..
-                } if r == run_id && index == j as u32 && packed.len() == to - from => {
-                    beliefs[from..to].copy_from_slice(&packed);
+                } if r == run_id && index == j as u32 => {
+                    if reset && !full {
+                        return Err(desync(addr, "partial beliefs after a reset".into()));
+                    }
+                    let (lo, hi) = g.meta.ranges[j];
+                    apply_beliefs(&g.global_off, lo, hi, mirror, full, &nodes, &packed)
+                        .map_err(|e| desync(addr, e))?;
                 }
-                WireMsg::Error { code, message } => {
-                    return Err(RunError::Worker {
-                        addr: addr.clone(),
-                        message: format!("{code}: {message}"),
-                    });
-                }
-                other => {
-                    return Err(RunError::Worker {
-                        addr: addr.clone(),
-                        message: format!("Collect answered with {other:?}"),
-                    });
-                }
+                other => return Err(unexpected(addr, "Collect", other)),
             }
         }
+        let tracker = schedule.tracker();
         if trace.enabled() {
             run_span.record(&[
                 ("iterations", tracker.iterations().into()),
                 ("converged", tracker.converged().into()),
+                ("full_sweeps", schedule.full_sweeps().into()),
             ]);
         }
         drop(run_span);
@@ -794,7 +883,7 @@ impl DistRouter {
         Ok(RunResult {
             iterations: tracker.iterations(),
             converged: tracker.converged(),
-            beliefs,
+            beliefs: Arc::clone(&g.mirror),
             reset,
         })
     }
@@ -1033,31 +1122,152 @@ mod tests {
     fn warm_delta_matches_single_process_session() {
         use credo_core::ShardedSession;
         let workers: Vec<String> = (0..2).map(|_| spawn_worker(test_graph())).collect();
-        let mut router = router_for(workers, 2);
+        let cfg = DistConfig {
+            workers,
+            shards: 2,
+            cache_cap: 0,
+            reconnect_budget: Duration::from_millis(300),
+            io_timeout: Duration::from_secs(10),
+            ..DistConfig::default()
+        };
+        let mut router = DistRouter::new(cfg);
+        router
+            .add_graph("g", "test", 33, &test_graph())
+            .expect("add graph");
 
-        let ev1 = [(5u32, 1u32)];
-        let ev2 = [(5u32, 1u32), (60, 0)];
-        let r1 = router.infer(&Request::infer("g", &ev1));
-        assert!(r1.ok && r1.converged);
-        let r2 = router.infer(&Request::infer("g", &ev2));
-        assert!(r2.ok && r2.converged && r2.warm);
-
-        // Mirror with the in-process session: same cold run, same warm
-        // delta, same bits.
+        // A multi-request stream — observe, clear, repeat an earlier set —
+        // mirrored by the in-process session delta by delta: same
+        // iterations, same bits, every request.
+        let stream: [&[(u32, u32)]; 6] = [
+            &[(5, 1)],
+            &[(5, 1), (60, 0)],
+            &[(60, 0), (12, 1), (33, 0)],
+            &[(5, 1)],
+            &[(5, 0), (70, 1), (71, 1)],
+            &[(60, 0), (12, 1), (33, 0)],
+        ];
         let g = test_graph();
         let mut sx = ShardedExec::compile(&g, 2);
         let mut session = ShardedSession::new(&mut sx, 1).unwrap();
         let opts = BpOptions::default();
         let trace = Dispatch::none();
-        session.apply_evidence(&mut sx, &ev1, &[]).unwrap();
-        session.run("ref", &mut sx, &opts, &trace).unwrap();
-        session.apply_evidence(&mut sx, &[(60, 0)], &[]).unwrap();
-        session.run("ref", &mut sx, &opts, &trace).unwrap();
-        let packed = session.beliefs();
-        let want: Vec<(u32, Vec<f32>)> = (0..g.num_nodes() as u32)
-            .map(|v| (v, session.node_slice(&packed, v).to_vec()))
-            .collect();
-        assert_bitwise(&r2.posteriors, &want);
+        for (i, ev) in stream.iter().enumerate() {
+            let resp = router.infer(&Request::infer("g", ev));
+            assert!(resp.ok && resp.converged, "request {i}: {}", resp.message);
+            assert_eq!(resp.warm, i > 0, "request {i}");
+
+            let target: BTreeMap<u32, u32> = ev.iter().copied().collect();
+            let observe: Vec<(u32, u32)> = target
+                .iter()
+                .filter(|(v, s)| session.evidence().get(v) != Some(s))
+                .map(|(&v, &s)| (v, s))
+                .collect();
+            let clear: Vec<u32> = session
+                .evidence()
+                .keys()
+                .filter(|v| !target.contains_key(v))
+                .copied()
+                .collect();
+            session.apply_evidence(&mut sx, &observe, &clear).unwrap();
+            let stats = session.run("ref", &mut sx, &opts, &trace).unwrap();
+            assert_eq!(resp.iterations, stats.iterations, "request {i}");
+            let packed = session.beliefs();
+            let want: Vec<(u32, Vec<f32>)> = (0..g.num_nodes() as u32)
+                .map(|v| (v, session.node_slice(&packed, v).to_vec()))
+                .collect();
+            assert_bitwise(&resp.posteriors, &want);
+        }
+        let snap = router.metrics().snapshot();
+        assert!(
+            snap.dist_full_sweeps < snap.dist_sweeps,
+            "no queue sweep ran"
+        );
+        assert!(snap.dist_node_updates > 0);
+        router.shutdown_workers();
+    }
+
+    /// A scripted worker for one single-shard graph: answers `LoadShard`
+    /// and `RunStart` like a real one, but its `RunReady` and `Beliefs`
+    /// come from `reply(run, msg)` (run counts from 1 across links).
+    fn spawn_scripted_worker(reply: fn(u64, &WireMsg) -> Option<WireMsg>) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker");
+        let addr = listener.local_addr().expect("worker addr").to_string();
+        std::thread::spawn(move || {
+            let mut runs = 0u64;
+            for conn in listener.incoming() {
+                let Ok(mut s) = conn else { continue };
+                while let Ok(Some(msg)) = read_msg(&mut s) {
+                    if let WireMsg::RunStart { .. } = msg {
+                        runs += 1;
+                    }
+                    let out = match &msg {
+                        WireMsg::Shutdown => return,
+                        WireMsg::LoadShard { index, .. } => WireMsg::ShardReady {
+                            graph: "g".into(),
+                            index: *index,
+                            local_nodes: 80,
+                            from_store: false,
+                        },
+                        other => match reply(runs, other) {
+                            Some(m) => m,
+                            None => return,
+                        },
+                    };
+                    if write_msg(&mut s, &out).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        addr
+    }
+
+    fn run_ready(run_id: u64, slots: Vec<u32>, exports: Vec<f32>) -> WireMsg {
+        WireMsg::RunReady {
+            graph: "g".into(),
+            run_id,
+            index: 0,
+            active: 0,
+            queued: 0,
+            slots,
+            exports,
+        }
+    }
+
+    #[test]
+    fn out_of_range_sparse_entries_are_a_desync_not_a_panic() {
+        // An export index past the shard's export list.
+        let bad_export = spawn_scripted_worker(|_, msg| match msg {
+            WireMsg::RunStart { run_id, .. } => Some(run_ready(*run_id, vec![7], vec![0.5, 0.5])),
+            _ => None,
+        });
+        let mut router = router_for(vec![bad_export], 1);
+        let resp = router.infer(&Request::infer("g", &[(3, 1)]));
+        assert!(!resp.ok);
+        assert_eq!(resp.error, ERR_UNAVAILABLE);
+        assert!(resp.message.contains("desync"), "{}", resp.message);
+        router.shutdown_workers();
+
+        // A collected node id past the shard's range, on a warm run (the
+        // cold first run collects the whole region).
+        let bad_node = spawn_scripted_worker(|run, msg| match msg {
+            WireMsg::RunStart { run_id, .. } => Some(run_ready(*run_id, vec![], vec![])),
+            WireMsg::Collect { run_id, .. } => Some(WireMsg::Beliefs {
+                graph: "g".into(),
+                run_id: *run_id,
+                index: 0,
+                full: run == 1,
+                nodes: if run == 1 { vec![] } else { vec![80] },
+                packed: vec![0.5; if run == 1 { 160 } else { 2 }],
+            }),
+            _ => None,
+        });
+        let mut router = router_for(vec![bad_node], 1);
+        let first = router.infer(&Request::infer("g", &[(3, 1)]));
+        assert!(first.ok, "{}", first.message);
+        let resp = router.infer(&Request::infer("g", &[(4, 1)]));
+        assert!(!resp.ok);
+        assert!(resp.message.contains("desync"), "{}", resp.message);
         router.shutdown_workers();
     }
 

@@ -1,7 +1,7 @@
 //! The shard-worker serve loop: one process, one `ExecShard` per graph.
 
-use credo_core::{publish_exports, sweep_shard, Dispatch, ShardState};
-use credo_graph::{BeliefGraph, ExecShard, ShardCopy, ShardedExec};
+use credo_core::{sweep_shard, ShardState, SweepPhase, SweepReport};
+use credo_graph::{BeliefGraph, ExecShard, ShardedExec};
 use credo_net::{read_msg, write_msg, WireMsg};
 use credo_store::{PlanStore, SourceKey};
 use std::collections::HashMap;
@@ -13,24 +13,16 @@ use std::net::{TcpListener, TcpStream};
 /// CLI passes its `load_graph`; tests pass a closure returning a clone.
 pub type GraphBuilder = dyn Fn(&str, u64) -> Result<BeliefGraph, String> + Send + Sync;
 
-/// One loaded shard plus its persistent sweep state. The wire copy
-/// lists are re-based to contiguous payload offsets by the router, so
-/// `sweep_shard` reads the halo payload and writes the exports payload
-/// directly — no frontier array exists on the worker.
+/// One loaded shard plus its persistent sweep state. Halo entries
+/// arrive by import index (= halo slot) and exports leave by export
+/// index, so no frontier array exists on the worker.
 struct WorkerShard {
     shard: ExecShard,
-    imports: Vec<ShardCopy>,
-    exports: Vec<ShardCopy>,
-    import_len: usize,
-    export_len: usize,
     index: u32,
     state: ShardState,
-    diffs: Vec<f32>,
     run_id: u64,
-}
-
-fn payload_len(copies: &[ShardCopy]) -> usize {
-    copies.iter().map(|c| c.card as usize).sum()
+    /// The current run's queue threshold (from `RunStart`).
+    queue_threshold: f32,
 }
 
 struct Worker<'a> {
@@ -38,7 +30,13 @@ struct Worker<'a> {
     pool: credo_core::par::WorkerPool,
     threads: usize,
     shards: HashMap<String, WorkerShard>,
-    trace: Dispatch,
+}
+
+fn desync(message: String) -> WireMsg {
+    WireMsg::Error {
+        code: "desync".into(),
+        message,
+    }
 }
 
 impl Worker<'_> {
@@ -93,21 +91,34 @@ impl Worker<'_> {
                 (sx.shards.swap_remove(*index as usize), false)
             }
         };
-        let state = ShardState::new(&shard, None);
+        if imports.len() != shard.halo.len() {
+            return WireMsg::Error {
+                code: "bad_request".into(),
+                message: format!(
+                    "{} imports for a shard with {} halo slots",
+                    imports.len(),
+                    shard.halo.len()
+                ),
+            };
+        }
+        let state = match ShardState::with_queue(&shard, exports) {
+            Ok(st) => st,
+            Err(e) => {
+                return WireMsg::Error {
+                    code: "bad_request".into(),
+                    message: e.to_string(),
+                }
+            }
+        };
         let local_nodes = shard.local_nodes() as u64;
-        let diffs = vec![0.0f32; shard.local_nodes()];
         self.shards.insert(
             graph.clone(),
             WorkerShard {
-                import_len: payload_len(imports),
-                export_len: payload_len(exports),
-                imports: imports.clone(),
-                exports: exports.clone(),
                 index: *index,
                 shard,
                 state,
-                diffs,
                 run_id: 0,
+                queue_threshold: 0.0,
             },
         );
         WireMsg::ShardReady {
@@ -125,6 +136,7 @@ impl Worker<'_> {
         reset: bool,
         observe: &[(u32, u32)],
         clear: &[u32],
+        queue_threshold: f32,
     ) -> WireMsg {
         let Some(ws) = self.shards.get_mut(graph) else {
             return unknown_graph(graph);
@@ -139,86 +151,110 @@ impl Worker<'_> {
             };
         }
         ws.run_id = run_id;
-        let mut exports = vec![0.0f32; ws.export_len];
-        publish_exports(&ws.state.prev, &ws.exports, &mut exports);
+        ws.queue_threshold = queue_threshold;
+        let (mut slots, mut exports) = (Vec::new(), Vec::new());
+        ws.state
+            .take_exports(&ws.shard, reset, &mut slots, &mut exports);
         WireMsg::RunReady {
             graph: graph.to_string(),
             run_id,
             index: ws.index,
             active: ws.state.active.len() as u64,
+            queued: ws.state.queued() as u64,
+            slots,
             exports,
         }
     }
 
-    fn sweep(&mut self, graph: &str, run_id: u64, sweep: u32, halo: &[f32]) -> WireMsg {
-        let Some(ws) = self.shards.get_mut(graph) else {
-            return unknown_graph(graph);
+    /// One sweep: sparse halo entries in, moved exports out. `full`
+    /// sweeps every active node, otherwise only the queue.
+    fn sparse_sweep(
+        &mut self,
+        graph: &str,
+        run_id: u64,
+        sweep: u32,
+        full: bool,
+        slots: &[u32],
+        halo: &[f32],
+    ) -> WireMsg {
+        let (pool, threads) = (&self.pool, self.threads);
+        let ws = match shard_on(&mut self.shards, graph, run_id, "sweep") {
+            Ok(ws) => ws,
+            Err(reply) => return *reply,
         };
-        if ws.run_id != run_id {
-            return WireMsg::Error {
-                code: "desync".into(),
-                message: format!("sweep for run {run_id}, worker is on run {}", ws.run_id),
-            };
+        let qt = ws.queue_threshold;
+        if let Err(e) = ws.state.apply_halo(&ws.shard, slots, halo) {
+            return desync(e);
         }
-        if halo.len() != ws.import_len {
-            return WireMsg::Error {
-                code: "desync".into(),
-                message: format!(
-                    "halo of {} floats, imports need {}",
-                    halo.len(),
-                    ws.import_len
-                ),
-            };
-        }
-        let mut exports = vec![0.0f32; ws.export_len];
-        let messages = sweep_shard(
+        let phase = if full {
+            SweepPhase::Full
+        } else {
+            SweepPhase::Queue
+        };
+        let mut report = SweepReport::default();
+        sweep_shard(
             &ws.shard,
             &mut ws.state,
-            &ws.imports,
-            &ws.exports,
-            halo,
-            &mut exports,
-            &mut ws.diffs,
-            0,
-            &self.pool,
-            self.threads,
-            &self.trace,
-            ws.index as usize,
+            phase,
+            qt,
+            pool,
+            threads,
+            &mut report,
         );
-        let diffs = ws
-            .state
-            .active
-            .iter()
-            .map(|&v| ws.diffs[v as usize])
-            .collect();
-        WireMsg::SweepDone {
+        let mut exports = Vec::new();
+        ws.state
+            .export_values(&ws.shard, &report.exports, &mut exports);
+        WireMsg::SparseSweepDone {
             graph: graph.to_string(),
             run_id,
             sweep,
             index: ws.index,
+            slots: report.exports,
             exports,
-            diffs,
-            messages,
+            diffs: report.diffs,
+            queued: ws.state.queued() as u64,
+            messages: report.messages,
         }
     }
 
+    /// Ends a run: the beliefs moved since the last collect (all of them
+    /// after a reset or load); leftover queue entries are dropped.
     fn collect(&mut self, graph: &str, run_id: u64) -> WireMsg {
-        let Some(ws) = self.shards.get_mut(graph) else {
-            return unknown_graph(graph);
+        let ws = match shard_on(&mut self.shards, graph, run_id, "collect") {
+            Ok(ws) => ws,
+            Err(reply) => return *reply,
         };
-        if ws.run_id != run_id {
-            return WireMsg::Error {
-                code: "desync".into(),
-                message: format!("collect for run {run_id}, worker is on run {}", ws.run_id),
-            };
-        }
+        ws.state.clear_queue();
+        let (mut nodes, mut packed) = (Vec::new(), Vec::new());
+        let full = ws.state.take_changed(&ws.shard, &mut nodes, &mut packed);
         WireMsg::Beliefs {
             graph: graph.to_string(),
             run_id,
             index: ws.index,
-            packed: ws.state.prev[..ws.shard.local_len()].to_vec(),
+            full,
+            nodes,
+            packed,
         }
     }
+}
+
+/// The shard of `graph` on run `run_id`, or the error reply.
+fn shard_on<'a>(
+    shards: &'a mut HashMap<String, WorkerShard>,
+    graph: &str,
+    run_id: u64,
+    what: &str,
+) -> Result<&'a mut WorkerShard, Box<WireMsg>> {
+    let ws = shards
+        .get_mut(graph)
+        .ok_or_else(|| Box::new(unknown_graph(graph)))?;
+    if ws.run_id != run_id {
+        return Err(Box::new(desync(format!(
+            "{what} for run {run_id}, worker is on run {}",
+            ws.run_id
+        ))));
+    }
+    Ok(ws)
 }
 
 fn unknown_graph(graph: &str) -> WireMsg {
@@ -243,7 +279,6 @@ pub fn run_worker(listener: TcpListener, threads: usize, builder: &GraphBuilder)
         pool: credo_core::par::WorkerPool::new(threads),
         threads,
         shards: HashMap::new(),
-        trace: Dispatch::none(),
     };
     for conn in listener.incoming() {
         let mut stream = match conn {
@@ -288,13 +323,16 @@ fn serve_conn(stream: &mut TcpStream, worker: &mut Worker<'_>) -> io::Result<boo
                 reset,
                 observe,
                 clear,
-            } => worker.run_start(graph, *run_id, *reset, observe, clear),
-            WireMsg::Sweep {
+                queue_threshold,
+            } => worker.run_start(graph, *run_id, *reset, observe, clear, *queue_threshold),
+            WireMsg::SparseSweep {
                 graph,
                 run_id,
                 sweep,
+                full,
+                slots,
                 halo,
-            } => worker.sweep(graph, *run_id, *sweep, halo),
+            } => worker.sparse_sweep(graph, *run_id, *sweep, *full, slots, halo),
             WireMsg::Collect { graph, run_id } => worker.collect(graph, *run_id),
             other => WireMsg::Error {
                 code: "bad_request".into(),
@@ -304,5 +342,92 @@ fn serve_conn(stream: &mut TcpStream, worker: &mut Worker<'_>) -> io::Result<boo
         if write_msg(stream, &reply).is_err() {
             return Ok(false);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use credo_graph::generators::{synthetic, GenOptions};
+
+    fn request(s: &mut TcpStream, msg: &WireMsg) -> WireMsg {
+        write_msg(s, msg).expect("send");
+        read_msg(s).expect("recv").expect("reply")
+    }
+
+    fn assert_desync(reply: WireMsg) {
+        match reply {
+            WireMsg::Error { code, .. } => assert_eq!(code, "desync"),
+            other => panic!("expected a desync error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_sparse_entries_are_a_desync_not_a_panic() {
+        let g = synthetic(80, 320, &GenOptions::new(2).with_seed(33));
+        let sx = ShardedExec::compile(&g, 2);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker");
+        let addr = listener.local_addr().expect("worker addr");
+        let graph = g.clone();
+        let worker = std::thread::spawn(move || {
+            let builder = move |_spec: &str, _seed: u64| Ok(graph.clone());
+            run_worker(listener, 1, &builder).expect("worker serve loop");
+        });
+        let mut s = TcpStream::connect(addr).expect("connect");
+        let load = WireMsg::LoadShard {
+            graph: "g".into(),
+            spec: "test".into(),
+            seed: 33,
+            shards: 2,
+            index: 1,
+            store_dir: String::new(),
+            store_key: 0,
+            threads: 1,
+            imports: sx.meta.imports[1].clone(),
+            exports: sx.meta.exports[1].clone(),
+        };
+        assert!(matches!(request(&mut s, &load), WireMsg::ShardReady { .. }));
+        let start = WireMsg::RunStart {
+            graph: "g".into(),
+            run_id: 1,
+            reset: false,
+            observe: vec![(70, 1)],
+            clear: vec![],
+            queue_threshold: 1e-3,
+        };
+        assert!(matches!(request(&mut s, &start), WireMsg::RunReady { .. }));
+
+        let halo = sx.shards[1].halo.len() as u32;
+        let sweep = |slots: Vec<u32>, floats: usize| WireMsg::SparseSweep {
+            graph: "g".into(),
+            run_id: 1,
+            sweep: 0,
+            full: false,
+            slots,
+            halo: vec![0.5; floats],
+        };
+        // An import index past the halo, with or without the wake bit,
+        // and a payload that does not match its entries.
+        assert_desync(request(&mut s, &sweep(vec![halo], 2)));
+        assert_desync(request(&mut s, &sweep(vec![0, halo | 1 << 31], 4)));
+        assert_desync(request(&mut s, &sweep(vec![0], 3)));
+        // The worker is unharmed: a well-formed sweep still answers.
+        assert!(matches!(
+            request(&mut s, &sweep(vec![0], 2)),
+            WireMsg::SparseSweepDone { .. }
+        ));
+        // The dense sweep of wire version 1 is refused, not served.
+        let dense = WireMsg::Sweep {
+            graph: "g".into(),
+            run_id: 1,
+            sweep: 1,
+            halo: vec![0.5; 2 * halo as usize],
+        };
+        match request(&mut s, &dense) {
+            WireMsg::Error { code, .. } => assert_eq!(code, "bad_request"),
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+        write_msg(&mut s, &WireMsg::Shutdown).expect("shutdown");
+        worker.join().expect("worker thread");
     }
 }

@@ -54,8 +54,12 @@ pub struct Metrics {
     pub fresh_runs: AtomicU64,
     /// Distributed runs completed by the router.
     pub dist_runs: AtomicU64,
-    /// Boundary-exchange sweeps driven by the router.
+    /// Boundary-exchange sweeps driven by the router (both phases).
     pub dist_sweeps: AtomicU64,
+    /// Full sweeps among `dist_sweeps`.
+    pub dist_full_sweeps: AtomicU64,
+    /// Node updates computed by the workers across all sweeps.
+    pub dist_node_updates: AtomicU64,
     /// Worker connections re-established after an I/O failure.
     pub worker_reconnects: AtomicU64,
     /// Shards (re)shipped to workers via LoadShard.
@@ -112,8 +116,12 @@ pub struct MetricsSnapshot {
     pub fresh_runs: u64,
     /// Distributed runs completed by the router.
     pub dist_runs: u64,
-    /// Boundary-exchange sweeps driven by the router.
+    /// Boundary-exchange sweeps driven by the router (both phases).
     pub dist_sweeps: u64,
+    /// Full sweeps among `dist_sweeps`.
+    pub dist_full_sweeps: u64,
+    /// Node updates computed by the workers across all sweeps.
+    pub dist_node_updates: u64,
     /// Worker connections re-established after an I/O failure.
     pub worker_reconnects: u64,
     /// Shards (re)shipped to workers.
@@ -166,6 +174,8 @@ impl Metrics {
             fresh_runs: self.fresh_runs.load(Ordering::Relaxed),
             dist_runs: self.dist_runs.load(Ordering::Relaxed),
             dist_sweeps: self.dist_sweeps.load(Ordering::Relaxed),
+            dist_full_sweeps: self.dist_full_sweeps.load(Ordering::Relaxed),
+            dist_node_updates: self.dist_node_updates.load(Ordering::Relaxed),
             worker_reconnects: self.worker_reconnects.load(Ordering::Relaxed),
             shard_reloads: self.shard_reloads.load(Ordering::Relaxed),
             workers_lost: self.workers_lost.load(Ordering::Relaxed),
