@@ -20,7 +20,10 @@
 //! `dist_efficiency` gate the multi-process serving artifact
 //! (`BENCH_dist.json`: structure-determined frontier-compression and
 //! deterministic warm-gain ratios, plus a wide-tolerance wall-clock
-//! geomean).
+//! geomean); rows carrying `warm_speedup` gate the warm-start serving
+//! artifact (`BENCH_serve.json`: per-delta cold / warm seconds, each a
+//! median of repeats, plus their geomean, blessed with a wide tolerance
+//! because the warm denominators are sub-millisecond).
 //!
 //! ```text
 //! # refresh the artifact, then check it
@@ -217,6 +220,37 @@ fn extract_dist_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
     Ok(ratios)
 }
 
+/// Extracts the gated ratios from a `BENCH_serve.json` row array: each
+/// delta's `warm_speedup` (median cold seconds / median warm seconds)
+/// plus their geomean.
+fn extract_serve_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
+    let mut ratios = Vec::new();
+    let mut all = Vec::new();
+    for row in rows {
+        let graph = row
+            .get("graph")
+            .and_then(Value::as_str)
+            .ok_or("serve row without a 'graph' field")?;
+        let delta = row
+            .get("delta_nodes")
+            .and_then(Value::as_u64)
+            .ok_or("serve row without a 'delta_nodes' field")?;
+        let s = row
+            .get("warm_speedup")
+            .and_then(Value::as_f64)
+            .ok_or_else(|| {
+                format!("serve row '{graph}/d{delta}' without a 'warm_speedup' field")
+            })?;
+        ratios.push((format!("serve/{graph}/d{delta}/warm_speedup"), s));
+        all.push(s);
+    }
+    if all.is_empty() {
+        return Err("no rows carry warm_speedup — wrong or truncated artifact?".into());
+    }
+    ratios.push(("geomean/serve_warm_speedup".into(), geomean(&all)));
+    Ok(ratios)
+}
+
 fn load_fresh(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read fresh artifact {path}: {e}"))?;
@@ -231,6 +265,8 @@ fn load_fresh(path: &str) -> Result<Vec<(String, f64)>, String> {
         extract_store_ratios(rows)
     } else if rows.iter().any(|r| r.get("dist_efficiency").is_some()) {
         extract_dist_ratios(rows)
+    } else if rows.iter().any(|r| r.get("warm_speedup").is_some()) {
+        extract_serve_ratios(rows)
     } else {
         extract_ratios(rows)
     }

@@ -8,11 +8,18 @@
 //! changed, and verifies the warm posteriors agree with a cold run to
 //! 1e-4 (the fixed point must not depend on the starting messages).
 //!
+//! Each warm delta is timed as the median of [`WARM_REPEATS`] runs (the
+//! state reverts to the base fixed point between them) and each cold
+//! reference as the median of [`COLD_REPEATS`]; `warm_speedup` (cold /
+//! warm seconds) is the ratio `bench_gate` checks against
+//! `ci/baselines/serve.json`.
+//!
 //! Exits non-zero when any delta at or below 1% of the nodes fails to
 //! converge in fewer iterations than cold, or when posteriors diverge —
 //! so CI can run it as a guard, not just a report.
 
 use credo::{BpEngine, BpOptions};
+use credo_bench::measure::median;
 use credo_bench::report::{fmt_secs, save_bench_json, save_json, Table};
 use credo_bench::suite::Scale;
 use credo_bench::{flag_value, scale_from_args};
@@ -21,6 +28,11 @@ use credo_graph::generators::{synthetic, GenOptions};
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::time::Instant;
+
+/// Timed warm runs per delta; the row reports their median.
+const WARM_REPEATS: usize = 15;
+/// Timed cold runs per delta; the row reports their median.
+const COLD_REPEATS: usize = 3;
 
 #[derive(Serialize)]
 struct Row {
@@ -41,8 +53,12 @@ struct Row {
     cold_iterations: u32,
     /// warm / cold iteration ratio; < 1 means warm-start won.
     iter_ratio: f64,
+    /// Median of the timed warm runs.
     warm_seconds: f64,
+    /// Median of the timed cold runs.
     cold_seconds: f64,
+    /// cold_seconds / warm_seconds: the gated ratio.
+    warm_speedup: f64,
     /// L∞ distance between warm and cold posteriors over all beliefs.
     max_abs_diff: f64,
 }
@@ -104,37 +120,58 @@ fn main() {
     let deltas: &[usize] = &[base.len() / 50, base.len() / 10, base.len() / 2, base.len()];
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(&[
-        "delta", "frac", "frontier", "warm", "iters", "cold", "ratio", "time", "cold t", "L_inf",
+        "delta", "frac", "frontier", "warm", "iters", "cold", "ratio", "time", "cold t", "speedup",
+        "L_inf",
     ]);
     for &k in deltas {
         let k = k.max(1).min(base.len());
         let flipped: Vec<(u32, u32)> = base[..k].iter().map(|&(v, s)| (v, 1 - s)).collect();
         let delta = EvidenceDelta::observing(&flipped);
 
+        let revert = EvidenceDelta::observing(&base[..k]);
         let t0 = Instant::now();
         let run = engine
             .run_from(&mut warm_state, &delta, &opts)
             .expect("warm run");
-        let warm_seconds = t0.elapsed().as_secs_f64();
+        let mut warm_times = vec![t0.elapsed().as_secs_f64()];
 
         // Cold reference: same absolute evidence from scratch.
         let mut absolute = base.clone();
         for (abs, flip) in absolute[..k].iter_mut().zip(&flipped) {
             *abs = *flip;
         }
-        let mut cold_state = WarmState::new(g.clone(), threads);
-        let t0 = Instant::now();
-        let cold = engine
-            .run_from(&mut cold_state, &EvidenceDelta::observing(&absolute), &opts)
-            .expect("cold run");
-        let cold_seconds = t0.elapsed().as_secs_f64();
-
+        let mut cold_times = Vec::new();
+        let mut cold_run = None;
+        for _ in 0..COLD_REPEATS {
+            let mut state = WarmState::new(g.clone(), threads);
+            let t0 = Instant::now();
+            let run = engine
+                .run_from(&mut state, &EvidenceDelta::observing(&absolute), &opts)
+                .expect("cold run");
+            cold_times.push(t0.elapsed().as_secs_f64());
+            cold_run = Some((state, run));
+        }
+        let (cold_state, cold) = cold_run.expect("COLD_REPEATS > 0");
         let max_abs_diff = warm_state
             .beliefs()
             .iter()
             .zip(cold_state.beliefs())
             .map(|(a, b)| (a - b).abs() as f64)
             .fold(0.0, f64::max);
+
+        // The answers above come from the first warm run; the remaining
+        // repeats revert to the base fixed point and time the delta again.
+        for _ in 1..WARM_REPEATS {
+            engine
+                .run_from(&mut warm_state, &revert, &opts)
+                .expect("revert run");
+            let t0 = Instant::now();
+            engine
+                .run_from(&mut warm_state, &delta, &opts)
+                .expect("warm run");
+            warm_times.push(t0.elapsed().as_secs_f64());
+        }
+        let (warm_seconds, cold_seconds) = (median(&warm_times), median(&cold_times));
 
         let row = Row {
             graph: graph_name.clone(),
@@ -151,6 +188,7 @@ fn main() {
             iter_ratio: run.stats.iterations as f64 / cold.stats.iterations as f64,
             warm_seconds,
             cold_seconds,
+            warm_speedup: cold_seconds / warm_seconds,
             max_abs_diff,
         };
         table.row(&[
@@ -163,17 +201,14 @@ fn main() {
             format!("{:.2}", row.iter_ratio),
             fmt_secs(row.warm_seconds),
             fmt_secs(row.cold_seconds),
+            format!("{:.0}x", row.warm_speedup),
             format!("{:.2e}", row.max_abs_diff),
         ]);
         rows.push(row);
 
         // Revert so the next delta starts from the same base fixed point.
         engine
-            .run_from(
-                &mut warm_state,
-                &EvidenceDelta::observing(&base[..k]),
-                &opts,
-            )
+            .run_from(&mut warm_state, &revert, &opts)
             .expect("revert run");
     }
 

@@ -78,28 +78,39 @@ impl ParWorkQueue {
         }
     }
 
-    /// Builds a queue whose first iteration processes only `initial`
-    /// (deduplicated, ascending, filtered by `eligible`) while later
-    /// wake-up pushes may still reach **any** eligible node — the
-    /// warm-start frontier schedule, where work radiates outward from
+    /// Restarts the queue for a new run whose first iteration processes
+    /// only `initial` (deduplicated, ascending, filtered by eligibility)
+    /// while later wake-up pushes may still reach **any** eligible node —
+    /// the warm-start frontier schedule, where work radiates outward from
     /// changed evidence instead of starting from a full sweep.
-    pub fn with_initial(
-        num_nodes: usize,
-        workers: usize,
-        eligible: impl Fn(usize) -> bool,
-        initial: &[u32],
-    ) -> Self {
-        let mut q = ParWorkQueue::new(num_nodes, workers, eligible);
-        q.active.clear();
-        q.active.extend(
+    ///
+    /// Costs O(|initial| log |initial|), not O(N): every `advance*` leaves
+    /// the queued flags and push buffers clean (debug-asserted here), so
+    /// only the active set and the per-run counters need replacing.
+    pub fn restart(&mut self, initial: &[u32]) {
+        self.debug_assert_clean();
+        self.clear_counters();
+        let n = self.eligible.len();
+        self.active.clear();
+        self.active.extend(
             initial
                 .iter()
                 .copied()
-                .filter(|&v| (v as usize) < num_nodes && q.eligible[v as usize]),
+                .filter(|&v| (v as usize) < n && self.eligible[v as usize]),
         );
-        q.active.sort_unstable();
-        q.active.dedup();
-        q
+        self.active.sort_unstable();
+        self.active.dedup();
+    }
+
+    /// Sets whether `v` may be queued. A caller that keeps one queue
+    /// across runs mirrors every change of its eligibility rule here.
+    pub fn set_eligible(&mut self, v: usize, eligible: bool) {
+        self.eligible[v] = eligible;
+    }
+
+    /// The per-node eligibility mask.
+    pub fn eligible(&self) -> &[bool] {
+        &self.eligible
     }
 
     /// Repopulation passes performed so far.
@@ -226,8 +237,26 @@ impl ParWorkQueue {
         }
     }
 
-    /// Resets to "everything eligible is active".
+    fn clear_counters(&mut self) {
+        self.advances = 0;
+        self.repopulated = 0;
+        self.worker_pushes.fill(0);
+    }
+
+    fn debug_assert_clean(&self) {
+        debug_assert!(
+            self.runs.iter().all(Vec::is_empty),
+            "push buffers hold entries outside an iteration"
+        );
+        debug_assert!(
+            self.queued.iter().all(|f| !f.load(Ordering::Relaxed)),
+            "queued flags left set outside an iteration"
+        );
+    }
+
+    /// Resets to "everything eligible is active", with fresh counters.
     pub fn reset(&mut self) {
+        self.clear_counters();
         self.active.clear();
         self.active
             .extend((0..self.eligible.len() as u32).filter(|&v| self.eligible[v as usize]));
@@ -372,5 +401,36 @@ mod tests {
         assert!(q.is_empty());
         q.reset();
         assert_eq!(q.active(), &[0, 1, 2]);
+        assert_eq!(q.advances(), 0);
+    }
+
+    #[test]
+    fn restart_matches_a_fresh_queue() {
+        let mut reused = ParWorkQueue::new(10, 2, |v| v != 4);
+        {
+            let (_, mut workers) = reused.begin_iteration();
+            workers[0].push(7);
+            workers[1].push(2);
+        }
+        reused.advance();
+        reused.set_eligible(4, true);
+        reused.set_eligible(2, false);
+        reused.restart(&[9, 4, 2, 4, 0, 11]);
+
+        let mut fresh = ParWorkQueue::new(10, 2, |v| v != 2);
+        fresh.restart(&[9, 4, 2, 4, 0, 11]);
+        assert_eq!(reused.active(), &[0, 4, 9]);
+        assert_eq!(reused.active(), fresh.active());
+        assert_eq!(reused.eligible(), fresh.eligible());
+        assert_eq!(reused.advances(), 0);
+        assert_eq!(reused.repopulated(), 0);
+        assert_eq!(reused.worker_pushes(), &[0, 0]);
+        // A node queued in the last run is not suppressed by a stale flag.
+        {
+            let (_, mut workers) = reused.begin_iteration();
+            workers[1].push(7);
+        }
+        reused.advance();
+        assert_eq!(reused.active(), &[7]);
     }
 }

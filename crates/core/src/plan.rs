@@ -145,6 +145,111 @@ impl PackedMsgCache {
     }
 }
 
+/// The buffers one [`run_node_plan_on`] call works in, kept between runs
+/// so a warm run's bookkeeping costs O(frontier + touched), not O(N).
+///
+/// A scratch serves one plan; it sizes itself on its first run. Between
+/// runs it holds these invariants, which make a reused scratch give the
+/// same bits as a fresh one:
+/// - every `diffs` slot is 0 (each run re-zeroes the slots it wrote);
+/// - the queue's push buffers and queued flags are clean (every `advance*`
+///   leaves them so), and its eligibility equals `!plan.observed()` (the
+///   owner reports each observed-flag change through
+///   [`RunScratch::observed_changed`]).
+///
+/// `next` needs no invariant: a run writes only the active nodes' ranges
+/// and publishes exactly those in the same iteration.
+#[derive(Default)]
+pub(crate) struct RunScratch {
+    next: Vec<f32>,
+    diffs: DiffSlots,
+    in_degrees: Vec<u32>,
+    /// Unobserved nodes, rebuilt for each run that sweeps without a queue.
+    full_sweep: Vec<u32>,
+    cache: Option<PackedMsgCache>,
+    /// Built by the first queued run.
+    queue: Option<ParWorkQueue>,
+}
+
+impl RunScratch {
+    /// Allocates the plan-sized buffers on first use.
+    fn size_for(&mut self, plan: &ExecGraph) {
+        let n = plan.num_nodes();
+        if self.cache.is_some() {
+            debug_assert_eq!(self.diffs.vals.len(), n, "a run scratch serves one plan");
+            return;
+        }
+        self.next = vec![0.0; plan.packed_len()];
+        self.diffs.vals = vec![0.0; n];
+        self.in_degrees = (0..n as u32).map(|v| plan.in_degree(v) as u32).collect();
+        self.cache = Some(PackedMsgCache::new(plan));
+    }
+
+    /// The run's queue, built on first use with `!plan.observed()` as
+    /// eligibility.
+    fn queue(&mut self, plan: &ExecGraph, workers: usize) -> &mut ParWorkQueue {
+        let q = self.queue.get_or_insert_with(|| {
+            ParWorkQueue::new(plan.num_nodes(), workers, |v| !plan.observed()[v])
+        });
+        debug_assert!(
+            q.eligible()
+                .iter()
+                .zip(plan.observed())
+                .all(|(&e, &o)| e != o),
+            "queue eligibility out of step with the plan's observed flags"
+        );
+        q
+    }
+
+    /// Mirrors a change of node `v`'s observed flag in `plan` into the
+    /// queue's eligibility. Whoever rebinds evidence on a plan whose
+    /// scratch is kept must call this for every node it rebinds.
+    pub(crate) fn observed_changed(&mut self, plan: &ExecGraph, v: u32) {
+        if let Some(q) = &mut self.queue {
+            q.set_eligible(v as usize, !plan.observed()[v as usize]);
+        }
+    }
+}
+
+/// Per-node L1 diffs plus a record of which slots the current run wrote,
+/// so the run can hand them back all zero in O(touched).
+#[derive(Default)]
+struct DiffSlots {
+    vals: Vec<f32>,
+    /// Slots written this run (repeats allowed), until the list would
+    /// outgrow a plain clear of `vals`; then `all` is set instead.
+    dirty: Vec<u32>,
+    all: bool,
+}
+
+impl DiffSlots {
+    /// Records this iteration's active nodes as written.
+    fn mark(&mut self, active: &[u32]) {
+        if self.all {
+            return;
+        }
+        if self.dirty.len() + active.len() > self.vals.len() / 8 {
+            self.all = true;
+            self.dirty.clear();
+        } else {
+            self.dirty.extend_from_slice(active);
+        }
+    }
+
+    /// Re-zeroes every slot the run wrote.
+    fn clear(&mut self) {
+        if self.all {
+            self.vals.fill(0.0);
+        } else {
+            for &v in &self.dirty {
+                self.vals[v as usize] = 0.0;
+            }
+        }
+        self.dirty.clear();
+        self.all = false;
+    }
+}
+
 /// Extra controls for [`run_node_plan_on`] beyond [`BpOptions`] — the
 /// warm-start and serving knobs. The default value reproduces
 /// [`run_node_plan`]'s behaviour exactly.
@@ -187,6 +292,7 @@ pub(crate) fn run_node_plan(
         opts,
         trace,
         &pool,
+        &mut RunScratch::default(),
         NodeRunCfg::default(),
     );
     plan.store_beliefs(&prev, graph);
@@ -198,13 +304,17 @@ pub(crate) fn run_node_plan(
 /// layer ([`crate::warm`]) and the serving layer reuse so neither
 /// recompiles the plan nor respawns the worker pool per request. `prev`
 /// holds the starting beliefs on entry and the posteriors on return.
+/// `scratch` holds the run's buffers; a caller that keeps it across runs
+/// (see [`RunScratch`]) pays no O(N) setup for a queued run.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_node_plan_on(
     name: &'static str,
     plan: &ExecGraph,
-    prev: &mut Vec<f32>,
+    prev: &mut [f32],
     opts: &BpOptions,
     trace: &Dispatch,
     pool: &WorkerPool,
+    scratch: &mut RunScratch,
     cfg: NodeRunCfg<'_>,
 ) -> BpStats {
     let threads = pool.threads();
@@ -219,26 +329,34 @@ pub(crate) fn run_node_plan_on(
     // Double-buffered packed beliefs: `prev` is the live state, `next` the
     // per-iteration scratch published back after each sweep.
     debug_assert_eq!(prev.len(), plan.packed_len());
-    let mut next: Vec<f32> = prev.clone();
-    let mut diffs: Vec<f32> = vec![0.0; n];
-    let mut cache = PackedMsgCache::new(plan);
+    scratch.size_for(plan);
     let damping = cfg.damping;
 
-    let full_sweep: Vec<u32> = (0..n as u32)
-        .filter(|&v| !plan.observed()[v as usize])
-        .collect();
-    let in_degrees: Vec<u32> = (0..n as u32).map(|v| plan.in_degree(v) as u32).collect();
-    let mut queue = match cfg.frontier {
-        Some(frontier) => Some(ParWorkQueue::with_initial(
-            n,
-            threads,
-            |v| !plan.observed()[v],
-            frontier,
-        )),
-        None => opts
-            .work_queue
-            .then(|| ParWorkQueue::new(n, threads, |v| !plan.observed()[v])),
-    };
+    let queued = cfg.frontier.is_some() || opts.work_queue;
+    if queued {
+        let q = scratch.queue(plan, threads);
+        match cfg.frontier {
+            Some(frontier) => q.restart(frontier),
+            None => q.reset(),
+        }
+    } else {
+        scratch.full_sweep.clear();
+        scratch
+            .full_sweep
+            .extend((0..n as u32).filter(|&v| !plan.observed()[v as usize]));
+    }
+    let RunScratch {
+        next,
+        diffs,
+        in_degrees,
+        full_sweep,
+        cache,
+        queue,
+    } = scratch;
+    let (next, in_degrees, full_sweep): (&mut [f32], &[u32], &[u32]) =
+        (next, in_degrees, full_sweep);
+    let cache = cache.as_mut().expect("sized above");
+    let mut queue = if queued { queue.as_mut() } else { None };
 
     loop {
         if cfg.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -271,19 +389,19 @@ pub(crate) fn run_node_plan_on(
                     let (a, w) = q.begin_iteration();
                     (a, w)
                 }
-                None => (&full_sweep, Vec::new()),
+                None => (full_sweep, Vec::new()),
             };
             // Arc-balanced contiguous tiles; boundaries never affect the
             // (ascending) reduction order, only who computes what.
-            let tiles = degree_tiles(active, &in_degrees, threads);
+            let tiles = degree_tiles(active, in_degrees, threads);
             let use_queue = !qworkers.is_empty();
 
             {
-                let prev_ref = &prev;
-                let plan_ref = &plan;
-                let cache_ref = &cache;
-                let next_shared = SharedSlice::new(&mut next);
-                let diffs_shared = SharedSlice::new(&mut diffs);
+                let prev_ref = &*prev;
+                let plan_ref = plan;
+                let cache_ref = &*cache;
+                let next_shared = SharedSlice::new(&mut *next);
+                let diffs_shared = SharedSlice::new(&mut diffs.vals);
                 let mut tile_msgs = vec![0u64; tiles.len()];
                 let msgs_shared = SharedSlice::new(&mut tile_msgs);
                 let qw_shared = SharedSlice::new(&mut qworkers);
@@ -349,9 +467,9 @@ pub(crate) fn run_node_plan_on(
 
             // Publish: copy each active node's packed range into `prev`.
             {
-                let prev_shared = SharedSlice::new(prev);
-                let next_ref = &next;
-                let plan_ref = &plan;
+                let prev_shared = SharedSlice::new(&mut *prev);
+                let next_ref = &*next;
+                let plan_ref = plan;
                 let tiles_ref = &tiles;
                 pool.broadcast(&|i| {
                     let Some(tile) = tiles_ref.get(i) else {
@@ -369,21 +487,24 @@ pub(crate) fn run_node_plan_on(
                 });
             }
 
+            diffs.mark(active);
+
             // Deterministic ascending-order reduction, exactly the float
             // grouping of the sequential sweep (re-sort under residual
             // mode, which permutes `active`).
+            let vals = &diffs.vals;
             if opts.residual_priority {
                 let mut ascending = active.to_vec();
                 ascending.sort_unstable();
-                ascending.iter().map(|&v| diffs[v as usize]).sum()
+                ascending.iter().map(|&v| vals[v as usize]).sum()
             } else {
-                active.iter().map(|&v| diffs[v as usize]).sum()
+                active.iter().map(|&v| vals[v as usize]).sum()
             }
         };
 
         if let Some(q) = &mut queue {
             if opts.residual_priority {
-                q.advance_by_residual(&diffs);
+                q.advance_by_residual(&diffs.vals);
             } else {
                 q.advance();
             }
@@ -410,9 +531,13 @@ pub(crate) fn run_node_plan_on(
         }
     }
 
+    // Hand the diff slots back all zero: the next run's residual ordering
+    // reads the slots of woken nodes it has not computed yet.
+    diffs.clear();
+
     let elapsed = start.elapsed();
     if trace.enabled() {
-        emit_pool_metrics(trace, pool, queue.as_ref(), elapsed);
+        emit_pool_metrics(trace, pool, queue.as_deref(), elapsed);
         run_span.record(&[
             ("iterations", tracker.iterations().into()),
             ("converged", tracker.converged().into()),

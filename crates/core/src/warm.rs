@@ -13,21 +13,43 @@
 //! a fraction of the graph (see [`WarmPolicy::max_frontier_frac`]) or the
 //! previous run did not converge, it falls back to a cold run.
 //!
+//! # Cost
+//!
+//! A warm run costs O(frontier + touched), not O(N). The state keeps one
+//! run scratch — the belief double buffer, the per-node diff slots, the
+//! work queue, the in-degrees and the message cache — sized by its first
+//! run and reused by every later one. A run restarts the queue from the
+//! frontier in O(|frontier|), re-zeroes only the diff slots it wrote, and
+//! [`WarmState::apply`] mirrors each observed-flag change into the
+//! queue's eligibility, so no per-run setup walks the graph. Posteriors,
+//! iteration counts and update counts are the same bits as with a fresh
+//! scratch per run (tested over a 2000-request stream).
+//!
+//! # Accuracy
+//!
 //! The warm schedule is the §3.5 work queue with a restricted initial
-//! population, so it stops near the cold run's fixed point, not on it:
-//! how near depends on the graph and the stream. Over all nodes of the
-//! perfbench evidence streams the largest |warm − cold| posterior
-//! difference measured 6.7e-4 on 50k×200k (8 observations per request)
-//! and 3.7e-4 on 100k×400k (4 observations); the distributed warm runs
-//! of `ShardedSession`, which end on a certifying full sweep, measured
-//! 1.5e-4 to 2.0e-4. The 1e-4 asserts in the unit and integration suites
-//! hold on their small test graphs and on the sampled nodes they check,
-//! not as a bound over every node of a large graph.
+//! population, so it stops near the cold run's fixed point, not on it,
+//! and a warm answer carries no convergence certificate: `converged`
+//! means the queued nodes' summed change fell below the threshold (or
+//! the queue drained), not that a full sweep would move the beliefs by
+//! less than that. The gap grows with the length of the warm
+//! chain, since each run starts from the previous answer. On the
+//! perfbench `serve-warm-churn` stream (100k×400k, 4 observations per
+//! request), measured over all nodes against a default cold run on the
+//! same evidence, the largest |warm − cold| reached 6.0e-4 to 6.3e-4
+//! after a few thousand requests; the nodes beyond 1e-4 numbered 16
+//! after 600 requests, 59 after 3000 and 82 to 88 after 10800 to 12000
+//! (stream seed 1; seed 9001: 28 growing to 99). On 50k×200k with 8
+//! observations per request it measured 6.7e-4. The distributed warm
+//! runs of `ShardedSession`, which end on a certifying full sweep,
+//! measured 1.5e-4 to 2.0e-4. The 1e-4 asserts in the unit and
+//! integration suites hold on their small test graphs and on the sampled
+//! nodes they check, not as a bound over every node of a large graph.
 
 use crate::engine::EngineError;
 use crate::opts::BpOptions;
 use crate::par::{pool_threads, WorkerPool};
-use crate::plan::{run_node_plan_on, NodeRunCfg};
+use crate::plan::{run_node_plan_on, NodeRunCfg, RunScratch};
 use crate::stats::BpStats;
 use credo_graph::{Belief, BeliefGraph, ExecGraph};
 use std::collections::BTreeMap;
@@ -152,6 +174,10 @@ pub struct WarmState {
     overlay: BTreeMap<u32, u32>,
     converged: bool,
     policy: WarmPolicy,
+    /// Buffers every run reuses, so a warm run pays no O(N) setup.
+    /// [`WarmState::apply`] keeps its queue eligibility in step with the
+    /// plan's observed flags.
+    scratch: RunScratch,
 }
 
 impl WarmState {
@@ -170,6 +196,7 @@ impl WarmState {
             overlay: BTreeMap::new(),
             converged: false,
             policy: WarmPolicy::default(),
+            scratch: RunScratch::default(),
         }
     }
 
@@ -190,6 +217,7 @@ impl WarmState {
             overlay: BTreeMap::new(),
             converged: false,
             policy: WarmPolicy::default(),
+            scratch: RunScratch::default(),
         }
     }
 
@@ -339,6 +367,7 @@ impl WarmState {
                 g.observe(v, s as usize);
             }
             self.plan.bind_observed(v, s as usize);
+            self.scratch.observed_changed(&self.plan, v);
             let off = self.plan.node_off(v);
             let c = self.plan.card(v);
             self.packed[off..off + c].copy_from_slice(&self.plan.priors()[off..off + c]);
@@ -365,6 +394,7 @@ impl WarmState {
                 }
                 self.plan.bind_prior(v, base.as_slice());
             }
+            self.scratch.observed_changed(&self.plan, v);
             let off = self.plan.node_off(v);
             let c = self.plan.card(v);
             self.packed[off..off + c].copy_from_slice(base.as_slice());
@@ -413,6 +443,7 @@ impl WarmState {
             opts,
             trace,
             &self.pool,
+            &mut self.scratch,
             NodeRunCfg {
                 deadline,
                 ..NodeRunCfg::default()
@@ -467,6 +498,7 @@ impl WarmState {
                 opts,
                 trace,
                 &self.pool,
+                &mut self.scratch,
                 NodeRunCfg {
                     frontier: Some(&frontier),
                     damping: 0.0,
@@ -490,6 +522,7 @@ impl WarmState {
                 opts,
                 trace,
                 &self.pool,
+                &mut self.scratch,
                 NodeRunCfg {
                     frontier: None,
                     damping: policy.damping,
@@ -795,6 +828,133 @@ mod tests {
             linf(warm.beliefs(), cold.beliefs()) <= 1e-3,
             "engines disagree beyond the cross-engine tolerance"
         );
+    }
+
+    /// SplitMix64, so the stream below does not move when a library RNG
+    /// does.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The delta that moves `state`'s overlay to the absolute `target`
+    /// evidence, as `credo serve` derives it.
+    fn delta_to(state: &WarmState, target: &[(u32, u32)]) -> EvidenceDelta {
+        let want: BTreeMap<u32, u32> = target.iter().copied().collect();
+        EvidenceDelta {
+            observe: want
+                .iter()
+                .filter(|(v, s)| state.evidence().get(v) != Some(s))
+                .map(|(&v, &s)| (v, s))
+                .collect(),
+            clear: state
+                .evidence()
+                .keys()
+                .filter(|v| !want.contains_key(v))
+                .copied()
+                .collect(),
+        }
+    }
+
+    /// One state keeps its run scratch over a serving-shaped stream;
+    /// its twin starts every request from a fresh scratch. Every answer
+    /// must match bit for bit, across cold fallbacks, damped retries,
+    /// runs cut by a deadline or an iteration budget (which leave a
+    /// non-empty queue behind), residual ordering (which reads the diff
+    /// slots of woken, uncomputed nodes) and work-queue cold runs.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_bitwise_over_a_stream() {
+        let nodes = 20_000u32;
+        let g = synthetic(nodes as usize, 80_000, &GenOptions::new(2).with_seed(42));
+        let mut reused = WarmState::new(g.clone(), 1);
+        let mut fresh = WarmState::new(g, 1);
+        let mut rng = Mix(1);
+        let mut history: Vec<Vec<(u32, u32)>> = Vec::new();
+        let (mut cold, mut damped, mut cut, mut residual_warm) = (0, 0, 0, 0);
+        for i in 0..2000u32 {
+            let mut opts = BpOptions::default();
+            let mut policy = WarmPolicy::default();
+            let evidence: Vec<(u32, u32)> = match i % 1000 {
+                // A large delta: the frontier passes max_frontier_frac.
+                100 => (0..nodes / 4).map(|v| (v * 4, v % 2)).collect(),
+                _ if i % 5 == 4 => {
+                    let back = 1 + rng.below(history.len().min(60) as u64) as usize;
+                    history[history.len() - back].clone()
+                }
+                _ => {
+                    let mut ev: Vec<(u32, u32)> = Vec::new();
+                    while ev.len() < 4 {
+                        let v = rng.below(u64::from(nodes)) as u32;
+                        if ev.iter().all(|&(u, _)| u != v) {
+                            ev.push((v, rng.below(2) as u32));
+                        }
+                    }
+                    ev
+                }
+            };
+            match i % 1000 {
+                // Too few iterations: unconverged, then a damped retry.
+                300 => opts.max_iterations = 2,
+                // Expired deadline: the warm queue is restarted and never run.
+                500 => policy.deadline = Some(Instant::now()),
+                // The cold run that follows, on the work queue.
+                501 => opts = BpOptions::with_work_queue(),
+                // Cut after one warm iteration, no retry.
+                700 => {
+                    opts.max_iterations = 1;
+                    policy.damped_retry = false;
+                }
+                _ if i % 7 == 3 => opts = opts.with_residual_priority(),
+                _ => {}
+            }
+            let delta = delta_to(&reused, &evidence);
+            assert_eq!(delta, delta_to(&fresh, &evidence));
+            fresh.scratch = RunScratch::default();
+            let a = reused
+                .run_from("C Node", &delta, &opts, &policy, &Dispatch::none())
+                .unwrap();
+            let b = fresh
+                .run_from("C Node", &delta, &opts, &policy, &Dispatch::none())
+                .unwrap();
+            let ctx = format!("request {i}");
+            assert_eq!(a.warm, b.warm, "{ctx}");
+            assert_eq!(a.damped, b.damped, "{ctx}");
+            assert_eq!(a.frontier, b.frontier, "{ctx}");
+            assert_eq!(a.stats.converged, b.stats.converged, "{ctx}");
+            assert_eq!(a.stats.iterations, b.stats.iterations, "{ctx}");
+            assert_eq!(a.stats.node_updates, b.stats.node_updates, "{ctx}");
+            assert_eq!(a.stats.message_updates, b.stats.message_updates, "{ctx}");
+            assert_eq!(
+                a.stats.final_delta.to_bits(),
+                b.stats.final_delta.to_bits(),
+                "{ctx}"
+            );
+            assert!(
+                reused
+                    .beliefs()
+                    .iter()
+                    .zip(fresh.beliefs())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{ctx}: posteriors differ"
+            );
+            cold += usize::from(!a.warm);
+            damped += usize::from(a.damped);
+            cut += usize::from(!a.stats.converged && !a.damped);
+            residual_warm +=
+                usize::from(a.warm && opts.residual_priority && a.stats.iterations > 1);
+            history.push(evidence);
+        }
+        assert!(cold >= 10, "{cold} cold runs");
+        assert!(damped >= 2, "{damped} damped retries");
+        assert!(cut >= 4, "{cut} cut runs");
+        assert!(residual_warm > 100, "{residual_warm} residual warm runs");
     }
 
     #[test]

@@ -30,6 +30,11 @@ impl PosteriorCache {
         }
     }
 
+    /// Most entries held at once (0: caching is off).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Entries currently held.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -606,12 +606,13 @@ fn process_group(
         Metrics::inc(&metrics.damped_runs);
     }
 
-    let posteriors = Arc::new(state.beliefs().to_vec());
+    // Only an array that enters the cache is copied; answers are read
+    // straight from the state's posteriors.
     if run.stats.converged && !fresh {
-        slot.cache
-            .lock()
-            .unwrap()
-            .put(key.to_string(), Arc::clone(&posteriors));
+        let mut cache = slot.cache.lock().unwrap();
+        if cache.capacity() > 0 {
+            cache.put(key.to_string(), Arc::new(state.beliefs().to_vec()));
+        }
     }
     let now = Instant::now();
     for job in &jobs {
@@ -626,7 +627,7 @@ fn process_group(
         resp.warm = run.warm;
         resp.damped = run.damped;
         resp.iterations = run.stats.iterations;
-        resp.posteriors = extract(state, &posteriors, &job.nodes);
+        resp.posteriors = extract(state, state.beliefs(), &job.nodes);
         job.reply.send(resp);
     }
 }
