@@ -4,7 +4,7 @@
 //! more than the tolerance (default 15%).
 //!
 //! The gated ratios are relative measurements (Par engine vs the
-//! OpenMP-analogue engine, plan-lowered vs direct; relaxed scheduler vs
+//! OpenMP-analogue engine; relaxed scheduler vs
 //! the barriered plan) plus their geomeans — deliberately not absolute
 //! wall clocks, so the gate survives moving between runner machines of
 //! different speed. The artifact kind is inferred from the row fields:
@@ -59,7 +59,7 @@ fn geomean(values: &[f64]) -> f64 {
 /// array, in row order, geomeans last.
 fn extract_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
     let mut ratios = Vec::new();
-    let (mut par, mut plan) = (Vec::new(), Vec::new());
+    let mut par = Vec::new();
     for row in rows {
         let graph = row
             .get("graph")
@@ -73,18 +73,11 @@ fn extract_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
             ratios.push((format!("{engine}/{graph}/vs_openmp"), s));
             par.push(s);
         }
-        if let Some(s) = row.get("speedup_plan_vs_direct").and_then(Value::as_f64) {
-            ratios.push((format!("{engine}/{graph}/plan_vs_direct"), s));
-            plan.push(s);
-        }
     }
     if par.is_empty() {
         return Err("no rows carry speedup_vs_openmp — wrong or truncated artifact?".into());
     }
     ratios.push(("geomean/vs_openmp".into(), geomean(&par)));
-    if !plan.is_empty() {
-        ratios.push(("geomean/plan_vs_direct".into(), geomean(&plan)));
-    }
     Ok(ratios)
 }
 

@@ -48,16 +48,14 @@ struct Row {
     /// Par-engine wall-clock speedup over the OpenMP-analogue engine of
     /// the same paradigm on the same graph (None for non-Par rows).
     speedup_vs_openmp: Option<f64>,
-    /// Plan-lowered Par engine speedup over the same engine forced onto
-    /// the direct (un-lowered) path (None for non-plan rows).
-    speedup_plan_vs_direct: Option<f64>,
     /// Mean bytes the compiled plan moves per message on this graph
     /// (None for rows that never touch the packed layout).
     bytes_per_message: Option<f64>,
 }
 
-/// CI guard for the zero-cost claim (`--overhead-check`): Seq Node on the
-/// 10k synthetic graph, interleaved median-of-N wall clock, comparing the
+/// CI guard for the zero-cost claim (`--overhead-check`): Par Node at one
+/// thread (the plan hot path `credo serve` runs) on the 10k synthetic
+/// graph, interleaved median-of-N wall clock, comparing the
 /// untraced entry point against (a) a disabled dispatch and (b) an
 /// attached recorder whose methods discard everything. Exits non-zero
 /// when either traced variant's median is more than 2% slower than the
@@ -83,7 +81,7 @@ fn overhead_check() {
         fn counter(&self, _: &'static str, _: f64) {}
     }
 
-    let opts = credo_bench::apply_max_iters(BpOptions::default());
+    let opts = credo_bench::apply_max_iters(BpOptions::default()).with_threads(1);
     let g = synthetic(10_000, 40_000, &GenOptions::new(2).with_seed(42));
     let rounds = 7;
     let disabled_dispatch = credo::Dispatch::none();
@@ -91,8 +89,8 @@ fn overhead_check() {
     let time = |trace: Option<&credo::Dispatch>| {
         let mut work = g.clone();
         let stats = match trace {
-            None => run_clean(&SeqNodeEngine, &mut work, &opts),
-            Some(t) => run_traced_clean(&SeqNodeEngine, &mut work, &opts, t),
+            None => run_clean(&ParNodeEngine, &mut work, &opts),
+            Some(t) => run_traced_clean(&ParNodeEngine, &mut work, &opts, t),
         };
         stats.unwrap().reported_time.as_secs_f64()
     };
@@ -108,7 +106,7 @@ fn overhead_check() {
     );
     let (untraced, disabled, discard) = (meds[0], meds[1], meds[2]);
     println!(
-        "Seq Node 10kx40k median-of-{rounds}: untraced {}, no-op dispatch {} ({:+.2}%), discarding recorder {} ({:+.2}%)",
+        "Par Node (1 thread) 10kx40k median-of-{rounds}: untraced {}, no-op dispatch {} ({:+.2}%), discarding recorder {} ({:+.2}%)",
         fmt_secs(untraced),
         fmt_secs(disabled),
         (disabled / untraced - 1.0) * 100.0,
@@ -132,47 +130,50 @@ fn overhead_check() {
     println!("OK: tracing overhead within 2%");
 }
 
-/// CI guard for the plan lowering (`--plan-smoke`): Seq Node on the 100k
-/// synthetic graph, interleaved median-of-5 wall clock, plan-lowered vs
-/// the direct path. Exits non-zero when the plan's median is more than 2%
-/// slower — lowering must never cost the sequential baseline anything.
+/// CI guard for the plan lowering (`--plan-smoke`): on the 100k
+/// synthetic graph, interleaved median-of-5 wall clock, the plan (Par
+/// Node at one thread) vs the AoS C Node. Exits non-zero when the plan's
+/// median is more than 2% slower — lowering must never cost the
+/// sequential baseline anything.
 fn plan_smoke() {
     let opts = credo_bench::apply_max_iters(BpOptions::default());
     let g = synthetic(100_000, 400_000, &GenOptions::new(2).with_seed(42));
     let rounds = 5;
-    let time = |o: &BpOptions| {
+    let time = |engine: &dyn BpEngine, o: &BpOptions| {
         let mut work = g.clone();
-        run_clean(&SeqNodeEngine, &mut work, o)
+        run_clean(engine, &mut work, o)
             .unwrap()
             .reported_time
             .as_secs_f64()
     };
-    let direct_opts = opts.without_exec_plan();
     let meds = interleaved_medians(
         rounds,
-        &mut [&mut || time(&opts), &mut || time(&direct_opts)],
+        &mut [
+            &mut || time(&ParNodeEngine, &opts.with_threads(1)),
+            &mut || time(&SeqNodeEngine, &opts),
+        ],
     );
-    let (plan, direct) = (meds[0], meds[1]);
+    let (plan, aos) = (meds[0], meds[1]);
     println!(
-        "Seq Node 100kx400k median-of-{rounds}: plan {} vs direct {} ({:+.2}%)",
+        "100kx400k median-of-{rounds}: plan (Par Node, 1 thread) {} vs AoS C Node {} ({:+.2}%)",
         fmt_secs(plan),
-        fmt_secs(direct),
-        (plan / direct - 1.0) * 100.0,
+        fmt_secs(aos),
+        (plan / aos - 1.0) * 100.0,
     );
     let gates = [Gate {
-        name: "plan-lowered vs direct Seq Node".into(),
+        name: "plan (Par Node, 1 thread) vs AoS C Node".into(),
         value: plan,
-        reference: direct,
+        reference: aos,
         tolerance: 0.02,
         higher_is_better: false,
     }];
     if let Err(diff) = check_gates(&gates) {
         eprintln!(
-            "FAIL: plan-lowered Seq Node is more than 2% slower than the direct path\n{diff}"
+            "FAIL: the plan at one thread is more than 2% slower than the AoS C Node\n{diff}"
         );
         std::process::exit(1);
     }
-    println!("OK: plan lowering does not slow the sequential baseline");
+    println!("OK: the plan at one thread is no slower than the AoS C Node");
 }
 
 #[derive(Serialize)]
@@ -573,9 +574,7 @@ fn main() {
         "paradigm",
         "Seq",
         "OpenMP",
-        "Par direct",
-        "Par plan",
-        "Plan/Direct",
+        "Par",
         "Par/OpenMP",
         "Par CAS",
         "B/msg",
@@ -604,47 +603,26 @@ fn main() {
             let mut work = g.clone();
             let s_seq = run_clean(seq.as_ref(), &mut work, &opts).unwrap();
             let s_omp = run_clean(omp.as_ref(), &mut work, &opts.with_threads(threads)).unwrap();
-            // The same Par engine down both hot paths: PR-1's direct AoS
-            // traversal vs the compiled packed plan (the default).
-            let s_par_direct = run_clean(
-                par.as_ref(),
-                &mut work,
-                &par_opts.with_threads(threads).without_exec_plan(),
-            )
-            .unwrap();
             let s_par =
                 run_clean(par.as_ref(), &mut work, &par_opts.with_threads(threads)).unwrap();
             let speedup = s_omp.reported_time.as_secs_f64() / s_par.reported_time.as_secs_f64();
-            let plan_speedup =
-                s_par_direct.reported_time.as_secs_f64() / s_par.reported_time.as_secs_f64();
             table.row(&[
                 name.clone(),
                 paradigm.to_string(),
                 fmt_secs(s_seq.reported_time.as_secs_f64()),
                 fmt_secs(s_omp.reported_time.as_secs_f64()),
-                fmt_secs(s_par_direct.reported_time.as_secs_f64()),
                 fmt_secs(s_par.reported_time.as_secs_f64()),
-                fmt_speedup(plan_speedup),
                 fmt_speedup(speedup),
                 s_par.atomic_retries.to_string(),
                 format!("{bytes_per_message:.1}"),
             ]);
-            for (stats, direct, sp, plan_sp) in [
-                (&s_seq, false, None, None),
-                (&s_omp, false, None, None),
-                (&s_par_direct, true, None, None),
-                (&s_par, false, Some(speedup), Some(plan_speedup)),
-            ] {
+            for (stats, sp) in [(&s_seq, None), (&s_omp, None), (&s_par, Some(speedup))] {
                 rows.push(Row {
                     graph: name.clone(),
                     nodes: n,
                     edges: e,
                     paradigm: paradigm.to_string(),
-                    engine: if direct {
-                        format!("{} (direct)", stats.engine)
-                    } else {
-                        stats.engine.to_string()
-                    },
+                    engine: stats.engine.to_string(),
                     threads: if stats.engine.starts_with("C ") {
                         1
                     } else {
@@ -655,12 +633,7 @@ fn main() {
                     converged: stats.converged,
                     atomic_retries: stats.atomic_retries,
                     speedup_vs_openmp: sp,
-                    speedup_plan_vs_direct: plan_sp,
-                    bytes_per_message: if direct {
-                        None
-                    } else {
-                        Some(bytes_per_message)
-                    },
+                    bytes_per_message: Some(bytes_per_message),
                 });
             }
         }
@@ -681,16 +654,6 @@ fn main() {
     println!(
         "geomean Par speedup over OpenMP-analogue: {}",
         fmt_speedup(geo)
-    );
-    let plan_geo = (par_rows
-        .iter()
-        .map(|r| r.speedup_plan_vs_direct.unwrap().ln())
-        .sum::<f64>()
-        / par_rows.len() as f64)
-        .exp();
-    println!(
-        "geomean plan speedup over the direct path: {}",
-        fmt_speedup(plan_geo)
     );
     let retries: u64 = par_rows.iter().map(|r| r.atomic_retries).sum();
     println!("total Par CAS retries: {retries} (deterministic reductions use none)");

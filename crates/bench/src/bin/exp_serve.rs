@@ -18,12 +18,12 @@
 //! converge in fewer iterations than cold, or when posteriors diverge —
 //! so CI can run it as a guard, not just a report.
 
-use credo::{BpEngine, BpOptions};
+use credo::BpOptions;
 use credo_bench::measure::median;
 use credo_bench::report::{fmt_secs, save_bench_json, save_json, Table};
 use credo_bench::suite::Scale;
 use credo_bench::{flag_value, scale_from_args};
-use credo_core::{EvidenceDelta, WarmState};
+use credo_core::{Dispatch, EvidenceDelta, WarmPolicy, WarmRun, WarmState};
 use credo_graph::generators::{synthetic, GenOptions};
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -84,7 +84,12 @@ fn main() {
         queue_threshold: 1e-5,
         ..BpOptions::default()
     });
-    let engine = credo_core::par::ParNodeEngine;
+    let policy = WarmPolicy::default();
+    let run_from = |state: &mut WarmState, delta: &EvidenceDelta| -> WarmRun {
+        state
+            .run_from("Par Node", delta, &opts, &policy, &Dispatch::none())
+            .expect("warm-state run")
+    };
 
     let graph_name = format!("synthetic-{}k", nodes / 1000);
     let g = synthetic(nodes, edges, &GenOptions::new(2).with_seed(seed));
@@ -100,9 +105,7 @@ fn main() {
     // The warm state: converge once on the base evidence, then re-infer
     // each delta warm from that fixed point.
     let mut warm_state = WarmState::new(g.clone(), threads);
-    let base_run = engine
-        .run_from(&mut warm_state, &EvidenceDelta::observing(&base), &opts)
-        .expect("base cold run");
+    let base_run = run_from(&mut warm_state, &EvidenceDelta::observing(&base));
     println!(
         "{graph_name}: base evidence {} nodes, cold converge {} iterations in {}",
         base.len(),
@@ -130,9 +133,7 @@ fn main() {
 
         let revert = EvidenceDelta::observing(&base[..k]);
         let t0 = Instant::now();
-        let run = engine
-            .run_from(&mut warm_state, &delta, &opts)
-            .expect("warm run");
+        let run = run_from(&mut warm_state, &delta);
         let mut warm_times = vec![t0.elapsed().as_secs_f64()];
 
         // Cold reference: same absolute evidence from scratch.
@@ -145,9 +146,7 @@ fn main() {
         for _ in 0..COLD_REPEATS {
             let mut state = WarmState::new(g.clone(), threads);
             let t0 = Instant::now();
-            let run = engine
-                .run_from(&mut state, &EvidenceDelta::observing(&absolute), &opts)
-                .expect("cold run");
+            let run = run_from(&mut state, &EvidenceDelta::observing(&absolute));
             cold_times.push(t0.elapsed().as_secs_f64());
             cold_run = Some((state, run));
         }
@@ -162,13 +161,9 @@ fn main() {
         // The answers above come from the first warm run; the remaining
         // repeats revert to the base fixed point and time the delta again.
         for _ in 1..WARM_REPEATS {
-            engine
-                .run_from(&mut warm_state, &revert, &opts)
-                .expect("revert run");
+            run_from(&mut warm_state, &revert);
             let t0 = Instant::now();
-            engine
-                .run_from(&mut warm_state, &delta, &opts)
-                .expect("warm run");
+            run_from(&mut warm_state, &delta);
             warm_times.push(t0.elapsed().as_secs_f64());
         }
         let (warm_seconds, cold_seconds) = (median(&warm_times), median(&cold_times));
@@ -207,9 +202,7 @@ fn main() {
         rows.push(row);
 
         // Revert so the next delta starts from the same base fixed point.
-        engine
-            .run_from(&mut warm_state, &revert, &opts)
-            .expect("revert run");
+        run_from(&mut warm_state, &revert);
     }
 
     table.print();

@@ -4,7 +4,6 @@
 
 use crate::opts::BpOptions;
 use crate::stats::BpStats;
-use crate::warm::{EvidenceDelta, WarmRun, WarmState};
 use credo_graph::BeliefGraph;
 use tracing::Dispatch;
 
@@ -120,32 +119,6 @@ pub trait BpEngine {
         opts: &BpOptions,
         trace: &Dispatch,
     ) -> Result<BpStats, EngineError>;
-
-    /// Applies an evidence delta to warm-start state and re-infers.
-    ///
-    /// The default runs cold: the delta is bound, beliefs are reset to the
-    /// evidence-bound priors, and the engine runs from scratch. Engines
-    /// with a warm schedule (the node-paradigm CPU engines) override this
-    /// to re-propagate only from the changed-evidence frontier, governed
-    /// by the state's [`crate::warm::WarmPolicy`]. Either way the state's
-    /// packed posteriors reflect the new evidence on return.
-    fn run_from(
-        &self,
-        state: &mut WarmState,
-        delta: &EvidenceDelta,
-        opts: &BpOptions,
-    ) -> Result<WarmRun, EngineError> {
-        let changed = state.apply(delta)?;
-        let frontier = state.frontier_for(&changed).len();
-        let stats = self.run(state.begin_engine_run()?, opts)?;
-        state.finish_engine_run(stats.converged);
-        Ok(WarmRun {
-            stats,
-            warm: false,
-            damped: false,
-            frontier,
-        })
-    }
 }
 
 #[cfg(test)]

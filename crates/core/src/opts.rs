@@ -17,13 +17,16 @@
 /// | `false`      | `false`             | Full Jacobi sweep every iteration. |
 /// | `true`       | `false`             | §3.5 work queue, ascending node order. |
 /// | `true`       | `true`              | Work queue, descending-residual order. |
-/// | `false`      | `true`              | **Normalized to** `work_queue = true`: residual ordering needs the queue's per-node residuals, so the queue is switched on rather than silently ignoring the flag (this combination used to be a no-op on the exec-plan path). |
+/// | `false`      | `true`              | **Normalized to** `work_queue = true`: residual ordering needs the queue's per-node residuals, so the queue is switched on rather than silently ignoring the flag. |
 ///
 /// [`BpOptions::splash`] and [`BpOptions::decay`] select the relaxed
 /// engine's task-shape variants (`credo_core::sched`); every barriered
-/// engine ignores them. `exec_plan` is independent of all of the above,
-/// except that the relaxed engine is plan-only and ignores
-/// `exec_plan = false`.
+/// engine ignores them.
+///
+/// The `credo_core::par` and `credo_core::sched` engines always run the
+/// compiled packed plan ([`credo_graph::ExecGraph`]); the sequential and
+/// OpenMP-analogue engines walk the AoS graph as the paper's C code does,
+/// and Seq Node is Par Node's bitwise reference.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BpOptions {
     /// Global convergence threshold: iteration stops once the summed L1
@@ -50,13 +53,6 @@ pub struct BpOptions {
     /// Updates stay double-buffered (Jacobi), so results are unchanged —
     /// this reorders memory traffic, not math. Other engines ignore it.
     pub residual_priority: bool,
-    /// Lower the graph into a compiled [`credo_graph::ExecGraph`] before
-    /// iterating (default **on**): beliefs and messages live in
-    /// cardinality-packed flat arrays, potentials are deduplicated into
-    /// one pool, and updates run through the SIMD message microkernels.
-    /// Results are bit-identical to the direct path; turning this off
-    /// keeps the original AoS traversal for layout ablations.
-    pub exec_plan: bool,
     /// Splash size for the relaxed scheduler (`credo_core::sched`): when
     /// non-zero, each popped root expands into a bounded-BFS neighborhood
     /// of at most this many nodes, updated forward then backward as one
@@ -86,7 +82,6 @@ impl Default for BpOptions {
             wake_neighbors: true,
             threads: 0,
             residual_priority: false,
-            exec_plan: true,
             splash: 0,
             decay: 1.0,
         }
@@ -130,19 +125,6 @@ impl BpOptions {
         self
     }
 
-    /// Enables the compiled execution plan (the default).
-    pub fn with_exec_plan(mut self) -> Self {
-        self.exec_plan = true;
-        self
-    }
-
-    /// Disables the compiled execution plan, restoring the direct AoS
-    /// traversal — kept for layout ablations and as a reference path.
-    pub fn without_exec_plan(mut self) -> Self {
-        self.exec_plan = false;
-        self
-    }
-
     /// Enables the relaxed engine's splash variant: each popped root
     /// updates a bounded-BFS neighborhood of at most `size` nodes as one
     /// task. `0` restores single-node tasks.
@@ -173,7 +155,7 @@ impl BpOptions {
     /// (off). Every engine calls this exactly once on entry, so a
     /// hand-built `BpOptions { residual_priority: true, .. }` behaves the
     /// same as [`BpOptions::with_residual_priority`] instead of being
-    /// silently ignored on the exec-plan path.
+    /// silently ignored.
     #[must_use]
     pub fn normalized(mut self) -> Self {
         if self.residual_priority && !self.work_queue {
@@ -197,14 +179,6 @@ mod tests {
         assert_eq!(o.max_iterations, 200);
         assert!(!o.work_queue);
         assert!(o.wake_neighbors);
-        assert!(o.exec_plan, "the compiled plan is the default hot path");
-    }
-
-    #[test]
-    fn exec_plan_toggles() {
-        let off = BpOptions::default().without_exec_plan();
-        assert!(!off.exec_plan);
-        assert!(off.with_exec_plan().exec_plan);
     }
 
     #[test]
@@ -229,8 +203,7 @@ mod tests {
 
     #[test]
     fn normalized_enables_queue_for_literal_residual_priority() {
-        // Struct-literal construction used to leave this combination a
-        // silent no-op on the exec-plan path.
+        // Struct-literal construction sets the flag without the queue.
         let o = BpOptions {
             residual_priority: true,
             ..Default::default()

@@ -1,26 +1,11 @@
 //! Persistent-pool per-edge engine ("Par Edge").
 
-use super::{emit_pool_metrics, pool_threads, range_chunks, MsgCache, ParWorkQueue, WorkerPool};
-use crate::convergence::ConvergenceTracker;
+use super::pool_threads;
 use crate::engine::{BpEngine, EngineError, Paradigm, Platform};
-use crate::openmp::SharedSlice;
 use crate::opts::BpOptions;
-use crate::stats::{BpStats, IterationStats};
-use credo_graph::{Belief, BeliefGraph};
-use std::time::Instant;
+use crate::stats::BpStats;
+use credo_graph::BeliefGraph;
 use tracing::Dispatch;
-
-/// One worker's output for an iteration: for each destination it touched
-/// (identified by its position in the active list, ascending within the
-/// run), the per-state sum of log-messages over that worker's share of the
-/// destination's in-arcs.
-#[derive(Debug, Default)]
-struct RunBuf {
-    /// Active-list positions, strictly ascending within the run.
-    pos: Vec<u32>,
-    /// `pos.len() * card` log-sums, grouped per position.
-    sums: Vec<f32>,
-}
 
 /// CPU-parallel per-edge loopy BP without atomics.
 ///
@@ -32,7 +17,8 @@ struct RunBuf {
 /// **log-space partial products** in its own buffer; a marginalize pass
 /// then merges the per-worker runs for each destination in worker order —
 /// a deterministic reduction, so [`BpStats::atomic_retries`] is always 0
-/// and results are reproducible for a fixed thread count.
+/// and results are reproducible for a fixed thread count. It runs on the
+/// compiled packed plan ([`crate::plan`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParEdgeEngine;
 
@@ -55,285 +41,7 @@ impl BpEngine for ParEdgeEngine {
         opts: &BpOptions,
         trace: &Dispatch,
     ) -> Result<BpStats, EngineError> {
-        let opts = &opts.normalized();
-        if opts.exec_plan {
-            return crate::plan::run_edge_plan(
-                self.name(),
-                graph,
-                opts,
-                trace,
-                pool_threads(opts.threads),
-            );
-        }
-        let card = graph
-            .uniform_cardinality()
-            .ok_or(EngineError::NonUniformCardinality)?;
-        let start = Instant::now();
-        let run_span = trace.span("run", &[("engine", self.name().into())]);
-        let n = graph.num_nodes();
-        let threads = pool_threads(opts.threads);
-        let pool = WorkerPool::new(threads);
-        let mut tracker = ConvergenceTracker::new(opts);
-        let mut node_updates = 0u64;
-        let mut message_updates = 0u64;
-        let mut per_iteration: Vec<IterationStats> = Vec::new();
-
-        let mut scratch: Vec<Belief> = graph.beliefs().to_vec();
-        let mut diffs: Vec<f32> = vec![0.0; n];
-        let mut cache = MsgCache::new(graph);
-        let mut runs: Vec<RunBuf> = (0..threads).map(|_| RunBuf::default()).collect();
-
-        let full_nodes: Vec<u32> = (0..n as u32)
-            .filter(|&v| !graph.observed()[v as usize])
-            .collect();
-        // The arc stream: every in-arc of every active node, grouped by
-        // destination in active-list order. Entries carry the arc id and
-        // the destination's active-list position.
-        let mut stream_arcs: Vec<u32> = Vec::new();
-        let mut stream_pos: Vec<u32> = Vec::new();
-        fn build_stream(g: &BeliefGraph, active: &[u32], arcs: &mut Vec<u32>, pos: &mut Vec<u32>) {
-            arcs.clear();
-            pos.clear();
-            for (p, &v) in active.iter().enumerate() {
-                let ins = g.in_arcs(v);
-                arcs.extend_from_slice(ins);
-                pos.resize(pos.len() + ins.len(), p as u32);
-            }
-        }
-        build_stream(graph, &full_nodes, &mut stream_arcs, &mut stream_pos);
-
-        let mut queue = opts
-            .work_queue
-            .then(|| ParWorkQueue::new(n, threads, |v| !graph.observed()[v]));
-
-        loop {
-            let iter_start = Instant::now();
-            let active_len = match &queue {
-                Some(q) => q.len(),
-                None => full_nodes.len(),
-            };
-            if active_len == 0 {
-                tracker.mark_converged();
-                break;
-            }
-            let queue_depth = active_len as u64;
-            let iter_span = trace.span(
-                "iteration",
-                &[
-                    ("iter", (per_iteration.len() as u64).into()),
-                    ("queue_depth", queue_depth.into()),
-                    ("threads", threads.into()),
-                ],
-            );
-            let msgs_before = message_updates;
-            cache.refresh(graph, &pool, active_len);
-
-            let sum: f32 = {
-                let (active, mut qworkers): (&[u32], Vec<_>) = match &mut queue {
-                    Some(q) => {
-                        let (a, w) = q.begin_iteration();
-                        (a, w)
-                    }
-                    None => (&full_nodes, Vec::new()),
-                };
-                let use_queue = !qworkers.is_empty();
-                if use_queue {
-                    build_stream(graph, active, &mut stream_arcs, &mut stream_pos);
-                }
-
-                // Region 1: stream arcs into per-worker log-sum runs. Chunk
-                // boundaries may split one destination's arc group across
-                // two workers; both then emit an entry for that position
-                // and the merge below adds the partial log-sums.
-                {
-                    let g = &*graph;
-                    let prev = g.beliefs();
-                    let cache_ref = &cache;
-                    let arc_chunks = range_chunks(stream_arcs.len(), threads);
-                    let (arcs_ref, pos_ref) = (&stream_arcs, &stream_pos);
-                    let runs_shared = SharedSlice::new(&mut runs);
-                    let chunks_ref = &arc_chunks;
-                    pool.broadcast(&|i| {
-                        // SAFETY: one run buffer per region index.
-                        let run = unsafe { &mut *runs_shared.ptr_at(i) };
-                        run.pos.clear();
-                        run.sums.clear();
-                        let Some(&(lo, hi)) = chunks_ref.get(i) else {
-                            return;
-                        };
-                        let mut cur = u32::MAX;
-                        for k in lo..hi {
-                            let p = pos_ref[k];
-                            if p != cur {
-                                run.pos.push(p);
-                                run.sums.resize(run.sums.len() + card, 0.0);
-                                cur = p;
-                            }
-                            let msg = cache_ref.message(g, arcs_ref[k], prev);
-                            let base = run.sums.len() - card;
-                            for st in 0..card {
-                                run.sums[base + st] += msg.get(st).ln();
-                            }
-                        }
-                    });
-                }
-                message_updates += stream_arcs.len() as u64;
-
-                // Region 2: marginalize. Each worker owns a contiguous
-                // range of active-list positions; per-worker runs keep
-                // positions ascending, so a cursor per run walks each run
-                // exactly once. Runs are merged in worker order — a fixed,
-                // deterministic reduction tree.
-                {
-                    let g = &*graph;
-                    let prev = g.beliefs();
-                    let runs_ref = &runs;
-                    let node_chunks = range_chunks(active.len(), threads);
-                    let scratch_shared = SharedSlice::new(&mut scratch);
-                    let diffs_shared = SharedSlice::new(&mut diffs);
-                    let qw_shared = SharedSlice::new(&mut qworkers);
-                    let (qt, wake) = (opts.queue_threshold, opts.wake_neighbors);
-                    let (active_ref, chunks_ref) = (active, &node_chunks);
-                    pool.broadcast(&|i| {
-                        let Some(&(lo, hi)) = chunks_ref.get(i) else {
-                            return;
-                        };
-                        let mut cursors: Vec<usize> = runs_ref
-                            .iter()
-                            .map(|r| r.pos.partition_point(|&p| (p as usize) < lo))
-                            .collect();
-                        let mut acc = vec![0.0f32; card];
-                        for (p, &v) in active_ref.iter().enumerate().take(hi).skip(lo) {
-                            acc.fill(0.0);
-                            for (r, run) in runs_ref.iter().enumerate() {
-                                let c = cursors[r];
-                                if run.pos.get(c) == Some(&(p as u32)) {
-                                    let base = c * card;
-                                    for (st, a) in acc.iter_mut().enumerate() {
-                                        *a += run.sums[base + st];
-                                    }
-                                    cursors[r] = c + 1;
-                                }
-                            }
-                            // Log-sum-exp against the max for stability; a
-                            // node whose every state hit ln(0) degenerates
-                            // to the all-zero product, exactly like the
-                            // normal-space engines.
-                            let mut max = f32::NEG_INFINITY;
-                            for &a in &acc {
-                                max = max.max(a);
-                            }
-                            if !max.is_finite() {
-                                max = 0.0;
-                            }
-                            let prior = &g.priors()[v as usize];
-                            let mut new = Belief::zeros(card);
-                            for (st, &a) in acc.iter().enumerate() {
-                                new.set(st, prior.get(st) * (a - max).exp());
-                            }
-                            new.normalize();
-                            let diff = new.l1_diff(&prev[v as usize]);
-                            // SAFETY: active node ids are unique; one
-                            // writer per slot.
-                            unsafe { scratch_shared.write(v as usize, new) };
-                            unsafe { diffs_shared.write(v as usize, diff) };
-                            if use_queue && diff >= qt {
-                                // SAFETY: handle `i` is owned by this index.
-                                let qw = unsafe { &mut *qw_shared.ptr_at(i) };
-                                qw.push(v);
-                                if wake {
-                                    for &a in g.out_arcs(v) {
-                                        qw.push(g.arc(a).dst);
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-                node_updates += active.len() as u64;
-
-                // Region 3: publish scratch into the belief array.
-                {
-                    let beliefs = graph.beliefs_mut();
-                    let shared = SharedSlice::new(beliefs);
-                    let scratch_ref = &scratch;
-                    let node_chunks = range_chunks(active.len(), threads);
-                    let (active_ref, chunks_ref) = (active, &node_chunks);
-                    pool.broadcast(&|i| {
-                        let Some(&(lo, hi)) = chunks_ref.get(i) else {
-                            return;
-                        };
-                        for &v in &active_ref[lo..hi] {
-                            // SAFETY: unique indices per chunk.
-                            unsafe { shared.write(v as usize, scratch_ref[v as usize]) };
-                        }
-                    });
-                }
-
-                // Deterministic ascending-order reduction of the global sum
-                // (residual mode permutes `active`; re-sort for the sum).
-                if opts.residual_priority {
-                    let mut ascending = active.to_vec();
-                    ascending.sort_unstable();
-                    ascending.iter().map(|&v| diffs[v as usize]).sum()
-                } else {
-                    active.iter().map(|&v| diffs[v as usize]).sum()
-                }
-            };
-
-            if let Some(q) = &mut queue {
-                if opts.residual_priority {
-                    q.advance_by_residual(&diffs);
-                } else {
-                    q.advance();
-                }
-            }
-
-            if trace.enabled() {
-                iter_span.record(&[("delta", sum.into())]);
-                trace.counter("queue_depth", queue_depth as f64);
-                if let Some(q) = &queue {
-                    trace.counter("queue_repopulated", q.len() as f64);
-                }
-            }
-            drop(iter_span);
-            per_iteration.push(IterationStats {
-                delta: sum,
-                node_updates: queue_depth,
-                message_updates: message_updates - msgs_before,
-                queue_depth,
-                elapsed: iter_start.elapsed(),
-            });
-
-            if !tracker.record(sum) {
-                break;
-            }
-        }
-
-        let elapsed = start.elapsed();
-        if trace.enabled() {
-            emit_pool_metrics(trace, &pool, queue.as_ref(), elapsed);
-            run_span.record(&[
-                ("iterations", tracker.iterations().into()),
-                ("converged", tracker.converged().into()),
-            ]);
-        }
-        Ok(BpStats {
-            engine: self.name(),
-            iterations: tracker.iterations(),
-            converged: tracker.converged(),
-            final_delta: if tracker.last_sum().is_finite() {
-                tracker.last_sum()
-            } else {
-                0.0
-            },
-            node_updates,
-            message_updates,
-            atomic_retries: 0,
-            reported_time: elapsed,
-            host_time: elapsed,
-            per_iteration,
-        })
+        crate::plan::run_edge_plan(self.name(), graph, opts, trace, pool_threads(opts.threads))
     }
 }
 
@@ -342,7 +50,7 @@ mod tests {
     use super::*;
     use crate::seq::SeqEdgeEngine;
     use credo_graph::generators::{kronecker, synthetic, GenOptions, PotentialKind};
-    use credo_graph::{GraphBuilder, JointMatrix};
+    use credo_graph::{Belief, GraphBuilder, JointMatrix};
 
     #[test]
     fn matches_sequential_edge_engine() {

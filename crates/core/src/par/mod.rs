@@ -24,6 +24,11 @@
 //!   messages leaving a node are the same on every one of its out-arcs, so
 //!   each iteration computes at most two mat-vec products per source node
 //!   instead of one per arc.
+//!
+//! Both engines run on the compiled packed plan ([`crate::plan`]): the AoS
+//! graph is read once to compile it and written once with the final
+//! beliefs. The AoS references are the sequential engines in
+//! [`crate::seq`].
 
 mod edge;
 mod node;
@@ -37,8 +42,7 @@ pub use pool::WorkerPool;
 pub use queue::{ParQueueWorker, ParWorkQueue};
 pub use tile::degree_tiles;
 
-use crate::openmp::{thread_count, SharedSlice};
-use credo_graph::{Belief, BeliefGraph};
+use crate::openmp::thread_count;
 use tracing::Dispatch;
 
 /// Splits `0..len` into at most `parts` contiguous `(start, end)` ranges of
@@ -110,97 +114,9 @@ pub(crate) fn emit_pool_metrics(
     }
 }
 
-/// Per-source message cache for shared-potential graphs.
-///
-/// With [`credo_graph::PotentialStore::Shared`], the message along an arc
-/// depends only on its source's belief and its orientation, so one forward
-/// and (if reverse arcs exist) one reverse mat-vec per source covers every
-/// arc leaving it. The cached values are produced by the *same*
-/// `JointMatrix::message` call the per-arc path uses, so engine results are
-/// bit-identical whether or not the cache is active on a given iteration.
-pub(crate) struct MsgCache {
-    fwd: Vec<Belief>,
-    rev: Vec<Belief>,
-    enabled: bool,
-    has_reverse: bool,
-    fresh: bool,
-}
-
-impl MsgCache {
-    pub(crate) fn new(graph: &BeliefGraph) -> Self {
-        let enabled = graph.potentials().is_shared();
-        let has_reverse = enabled && graph.arcs().iter().any(|a| a.reverse);
-        MsgCache {
-            fwd: Vec::new(),
-            rev: Vec::new(),
-            enabled,
-            has_reverse,
-            fresh: false,
-        }
-    }
-
-    /// Recomputes the cache from the current beliefs, in parallel on
-    /// `pool`. Skipped (leaving the cache stale and unused) for per-edge
-    /// potentials and for small active sets, where touching every source
-    /// would cost more than the per-arc mat-vecs it saves.
-    pub(crate) fn refresh(&mut self, graph: &BeliefGraph, pool: &WorkerPool, active_len: usize) {
-        let n = graph.num_nodes();
-        self.fresh = false;
-        if !self.enabled || active_len * 4 < n {
-            return;
-        }
-        if self.fwd.len() != n {
-            let card = graph.beliefs()[0].len();
-            self.fwd = vec![Belief::zeros(card); n];
-            if self.has_reverse {
-                self.rev = vec![Belief::zeros(card); n];
-            }
-        }
-        let store = graph.potentials();
-        let fwd_m = store.get(0, false);
-        let rev_m = store.get(0, true);
-        let beliefs = graph.beliefs();
-        let chunks = range_chunks(n, pool.threads());
-        let fwd_shared = SharedSlice::new(&mut self.fwd);
-        let rev_shared = SharedSlice::new(&mut self.rev);
-        let has_reverse = self.has_reverse;
-        pool.broadcast(&|i| {
-            let Some(&(lo, hi)) = chunks.get(i) else {
-                return;
-            };
-            for (v, b) in beliefs.iter().enumerate().take(hi).skip(lo) {
-                // SAFETY: ranges are disjoint, so each index has one writer.
-                unsafe { fwd_shared.write(v, fwd_m.message(b)) };
-                if has_reverse {
-                    unsafe { rev_shared.write(v, rev_m.message(b)) };
-                }
-            }
-        });
-        self.fresh = true;
-    }
-
-    /// The message along arc `a`, from the cache when fresh, otherwise
-    /// computed directly. `prev` must be the beliefs the cache was
-    /// refreshed from.
-    #[inline]
-    pub(crate) fn message(&self, graph: &BeliefGraph, a: u32, prev: &[Belief]) -> Belief {
-        let arc = graph.arc(a);
-        if self.fresh {
-            if arc.reverse {
-                self.rev[arc.src as usize]
-            } else {
-                self.fwd[arc.src as usize]
-            }
-        } else {
-            graph.potential(a).message(&prev[arc.src as usize])
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use credo_graph::generators::{synthetic, GenOptions, PotentialKind};
 
     #[test]
     fn range_chunks_cover_everything() {
@@ -215,45 +131,5 @@ mod tests {
             }
             assert_eq!(seen, len);
         }
-    }
-
-    #[test]
-    fn cached_messages_match_per_arc_messages() {
-        let g = synthetic(80, 240, &GenOptions::new(3).with_seed(11));
-        let pool = WorkerPool::new(2);
-        let mut cache = MsgCache::new(&g);
-        cache.refresh(&g, &pool, g.num_nodes());
-        assert!(cache.fresh);
-        let prev = g.beliefs();
-        for a in 0..g.num_arcs() as u32 {
-            let direct = g.potential(a).message(&prev[g.arc(a).src as usize]);
-            let cached = cache.message(&g, a, prev);
-            assert_eq!(direct.as_slice(), cached.as_slice(), "arc {a}");
-        }
-    }
-
-    #[test]
-    fn per_edge_potentials_disable_the_cache() {
-        let opts = GenOptions::new(2)
-            .with_seed(7)
-            .with_potentials(PotentialKind::PerEdgeRandom);
-        let g = synthetic(40, 120, &opts);
-        let pool = WorkerPool::new(2);
-        let mut cache = MsgCache::new(&g);
-        cache.refresh(&g, &pool, g.num_nodes());
-        assert!(!cache.fresh);
-        // The fallback path still answers correctly.
-        let prev = g.beliefs();
-        let direct = g.potential(0).message(&prev[g.arc(0).src as usize]);
-        assert_eq!(cache.message(&g, 0, prev).as_slice(), direct.as_slice());
-    }
-
-    #[test]
-    fn small_active_sets_skip_the_refresh() {
-        let g = synthetic(100, 300, &GenOptions::new(2).with_seed(3));
-        let pool = WorkerPool::new(1);
-        let mut cache = MsgCache::new(&g);
-        cache.refresh(&g, &pool, 5);
-        assert!(!cache.fresh);
     }
 }

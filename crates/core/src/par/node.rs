@@ -1,14 +1,10 @@
 //! Persistent-pool per-node engine ("Par Node").
 
-use super::{degree_tiles, emit_pool_metrics, pool_threads, MsgCache, ParWorkQueue, WorkerPool};
-use crate::convergence::ConvergenceTracker;
+use super::pool_threads;
 use crate::engine::{BpEngine, EngineError, Paradigm, Platform};
-use crate::math::combine_incoming;
-use crate::openmp::SharedSlice;
 use crate::opts::BpOptions;
-use crate::stats::{BpStats, IterationStats};
-use credo_graph::{Belief, BeliefGraph};
-use std::time::Instant;
+use crate::stats::BpStats;
+use credo_graph::BeliefGraph;
 use tracing::Dispatch;
 
 /// CPU-parallel per-node loopy BP on a persistent worker pool.
@@ -16,10 +12,12 @@ use tracing::Dispatch;
 /// Semantics match [`crate::seq::SeqNodeEngine`] exactly — same Jacobi
 /// updates, same convergence sum accumulated in ascending node order, so
 /// beliefs and iteration counts are bit-identical for any thread count.
-/// What changes is the cost model: the pool's threads are spawned once,
-/// per-thread work lands in disjoint scratch slots merged deterministically
-/// (no atomics), and shared-potential graphs compute each source's outgoing
-/// message once per orientation instead of once per arc.
+/// What changes is the layout and the cost model: the graph is compiled
+/// into the packed plan ([`crate::plan`]) and updated through the SIMD
+/// message kernels, the pool's threads are spawned once, per-thread work
+/// lands in disjoint scratch slots merged deterministically (no atomics),
+/// and shared-potential graphs compute each source's outgoing message once
+/// per orientation instead of once per arc.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParNodeEngine;
 
@@ -36,229 +34,13 @@ impl BpEngine for ParNodeEngine {
         Platform::CpuParallel
     }
 
-    fn run_from(
-        &self,
-        state: &mut crate::warm::WarmState,
-        delta: &crate::warm::EvidenceDelta,
-        opts: &BpOptions,
-    ) -> Result<crate::warm::WarmRun, EngineError> {
-        let policy = *state.policy();
-        state.run_from(self.name(), delta, opts, &policy, &Dispatch::none())
-    }
-
     fn run_traced(
         &self,
         graph: &mut BeliefGraph,
         opts: &BpOptions,
         trace: &Dispatch,
     ) -> Result<BpStats, EngineError> {
-        let opts = &opts.normalized();
-        if opts.exec_plan {
-            return crate::plan::run_node_plan(
-                self.name(),
-                graph,
-                opts,
-                trace,
-                pool_threads(opts.threads),
-            );
-        }
-        let start = Instant::now();
-        let run_span = trace.span("run", &[("engine", self.name().into())]);
-        let n = graph.num_nodes();
-        let threads = pool_threads(opts.threads);
-        let pool = WorkerPool::new(threads);
-        let mut tracker = ConvergenceTracker::new(opts);
-        let mut node_updates = 0u64;
-        let mut message_updates = 0u64;
-        let mut per_iteration: Vec<IterationStats> = Vec::new();
-
-        let mut scratch: Vec<Belief> = graph.beliefs().to_vec();
-        // Per-node L1 change of the last update; summed in ascending node
-        // order on the main thread so the convergence sum groups floats
-        // exactly like the sequential sweep, and reused as the residual for
-        // `advance_by_residual`.
-        let mut diffs: Vec<f32> = vec![0.0; n];
-        let mut cache = MsgCache::new(graph);
-
-        let full_sweep: Vec<u32> = (0..n as u32)
-            .filter(|&v| !graph.observed()[v as usize])
-            .collect();
-        // Per-node in-degrees for the degree-aware tiler; static for the run.
-        let in_degrees: Vec<u32> = (0..n as u32)
-            .map(|v| graph.in_arcs(v).len() as u32)
-            .collect();
-        let mut queue = opts
-            .work_queue
-            .then(|| ParWorkQueue::new(n, threads, |v| !graph.observed()[v]));
-
-        loop {
-            let iter_start = Instant::now();
-            let active_len = match &queue {
-                Some(q) => q.len(),
-                None => full_sweep.len(),
-            };
-            if active_len == 0 {
-                tracker.mark_converged();
-                break;
-            }
-            let queue_depth = active_len as u64;
-            let iter_span = trace.span(
-                "iteration",
-                &[
-                    ("iter", (per_iteration.len() as u64).into()),
-                    ("queue_depth", queue_depth.into()),
-                    ("threads", threads.into()),
-                ],
-            );
-            let msgs_before = message_updates;
-            cache.refresh(graph, &pool, active_len);
-
-            let sum: f32 = {
-                let (active, mut qworkers): (&[u32], Vec<_>) = match &mut queue {
-                    Some(q) => {
-                        let (a, w) = q.begin_iteration();
-                        (a, w)
-                    }
-                    None => (&full_sweep, Vec::new()),
-                };
-                // Contiguous arc-balanced tiles: boundaries only affect who
-                // computes a node, never the (ascending) reduction order.
-                let chunks: Vec<&[u32]> = degree_tiles(active, &in_degrees, threads);
-                let use_queue = !qworkers.is_empty();
-
-                // One parallel region: compute updates into disjoint
-                // scratch/diff slots and push next-iteration work straight
-                // from the workers.
-                {
-                    let prev = graph.beliefs();
-                    let g = &*graph;
-                    let cache_ref = &cache;
-                    let scratch_shared = SharedSlice::new(&mut scratch);
-                    let diffs_shared = SharedSlice::new(&mut diffs);
-                    let mut chunk_msgs = vec![0u64; chunks.len()];
-                    let msgs_shared = SharedSlice::new(&mut chunk_msgs);
-                    let qw_shared = SharedSlice::new(&mut qworkers);
-                    let (qt, wake) = (opts.queue_threshold, opts.wake_neighbors);
-                    let chunks_ref = &chunks;
-                    pool.broadcast(&|i| {
-                        let Some(chunk) = chunks_ref.get(i) else {
-                            return;
-                        };
-                        let mut local_msgs = 0u64;
-                        for &v in *chunk {
-                            let in_arcs = g.in_arcs(v);
-                            let new = combine_incoming(
-                                &g.priors()[v as usize],
-                                in_arcs.iter().map(|&a| cache_ref.message(g, a, prev)),
-                            );
-                            let diff = new.l1_diff(&prev[v as usize]);
-                            local_msgs += in_arcs.len() as u64;
-                            // SAFETY: active node ids are unique, so each
-                            // scratch/diff slot has exactly one writer.
-                            unsafe { scratch_shared.write(v as usize, new) };
-                            unsafe { diffs_shared.write(v as usize, diff) };
-                            if use_queue && diff >= qt {
-                                // SAFETY: worker handle `i` is owned by this
-                                // region index for the whole broadcast.
-                                let qw = unsafe { &mut *qw_shared.ptr_at(i) };
-                                qw.push(v);
-                                if wake {
-                                    for &a in g.out_arcs(v) {
-                                        qw.push(g.arc(a).dst);
-                                    }
-                                }
-                            }
-                        }
-                        // SAFETY: one slot per region index.
-                        unsafe { msgs_shared.write(i, local_msgs) };
-                    });
-                    message_updates += chunk_msgs.iter().sum::<u64>();
-                }
-                node_updates += active.len() as u64;
-
-                // Publish, in parallel on the same pool (disjoint indices).
-                {
-                    let beliefs = graph.beliefs_mut();
-                    let shared = SharedSlice::new(beliefs);
-                    let scratch_ref = &scratch;
-                    let chunks_ref = &chunks;
-                    pool.broadcast(&|i| {
-                        let Some(chunk) = chunks_ref.get(i) else {
-                            return;
-                        };
-                        for &v in *chunk {
-                            // SAFETY: unique indices per chunk.
-                            unsafe { shared.write(v as usize, scratch_ref[v as usize]) };
-                        }
-                    });
-                }
-
-                // Deterministic reduction: ascending node order, exactly the
-                // float grouping of the sequential sweep. Residual mode
-                // permutes `active`, so re-sort before summing to keep the
-                // grouping (and thus the iteration trajectory) identical.
-                if opts.residual_priority {
-                    let mut ascending = active.to_vec();
-                    ascending.sort_unstable();
-                    ascending.iter().map(|&v| diffs[v as usize]).sum()
-                } else {
-                    active.iter().map(|&v| diffs[v as usize]).sum()
-                }
-            };
-
-            if let Some(q) = &mut queue {
-                if opts.residual_priority {
-                    q.advance_by_residual(&diffs);
-                } else {
-                    q.advance();
-                }
-            }
-
-            if trace.enabled() {
-                iter_span.record(&[("delta", sum.into())]);
-                trace.counter("queue_depth", queue_depth as f64);
-                if let Some(q) = &queue {
-                    trace.counter("queue_repopulated", q.len() as f64);
-                }
-            }
-            drop(iter_span);
-            per_iteration.push(IterationStats {
-                delta: sum,
-                node_updates: queue_depth,
-                message_updates: message_updates - msgs_before,
-                queue_depth,
-                elapsed: iter_start.elapsed(),
-            });
-
-            if !tracker.record(sum) {
-                break;
-            }
-        }
-
-        let elapsed = start.elapsed();
-        if trace.enabled() {
-            emit_pool_metrics(trace, &pool, queue.as_ref(), elapsed);
-            run_span.record(&[
-                ("iterations", tracker.iterations().into()),
-                ("converged", tracker.converged().into()),
-            ]);
-        }
-        Ok(BpStats {
-            engine: self.name(),
-            iterations: tracker.iterations(),
-            converged: tracker.converged(),
-            final_delta: if tracker.last_sum().is_finite() {
-                tracker.last_sum()
-            } else {
-                0.0
-            },
-            node_updates,
-            message_updates,
-            atomic_retries: 0,
-            reported_time: elapsed,
-            host_time: elapsed,
-            per_iteration,
-        })
+        crate::plan::run_node_plan(self.name(), graph, opts, trace, pool_threads(opts.threads))
     }
 }
 

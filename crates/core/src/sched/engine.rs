@@ -68,7 +68,7 @@ const STOP_CAP: u32 = 2;
 /// Barrier-free relaxed-priority node engine (`Implementation::RelaxedNode`).
 ///
 /// Plan-only: the graph is always lowered to a packed
-/// [`credo_graph::ExecGraph`] ([`crate::BpOptions::exec_plan`] is ignored).
+/// [`credo_graph::ExecGraph`].
 /// [`crate::BpOptions::splash`] and [`crate::BpOptions::decay`] select the
 /// task-shape variants; see the [module docs](crate::sched).
 pub struct RelaxedNodeEngine;

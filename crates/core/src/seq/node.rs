@@ -16,7 +16,9 @@ use credo_graph::{Belief, BeliefGraph};
 use std::time::Instant;
 use tracing::Dispatch;
 
-/// Sequential per-node loopy BP.
+/// Sequential per-node loopy BP over the AoS graph, as the paper's C code
+/// runs it. It is the bitwise reference for [`crate::par::ParNodeEngine`],
+/// which runs the same arithmetic on the compiled packed plan.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SeqNodeEngine;
 
@@ -33,16 +35,6 @@ impl BpEngine for SeqNodeEngine {
         Platform::CpuSequential
     }
 
-    fn run_from(
-        &self,
-        state: &mut crate::warm::WarmState,
-        delta: &crate::warm::EvidenceDelta,
-        opts: &BpOptions,
-    ) -> Result<crate::warm::WarmRun, EngineError> {
-        let policy = *state.policy();
-        state.run_from(self.name(), delta, opts, &policy, &Dispatch::none())
-    }
-
     fn run_traced(
         &self,
         graph: &mut BeliefGraph,
@@ -50,11 +42,6 @@ impl BpEngine for SeqNodeEngine {
         trace: &Dispatch,
     ) -> Result<BpStats, EngineError> {
         let opts = &opts.normalized();
-        if opts.exec_plan {
-            // One inline worker: the same code path as the parallel plan,
-            // which is what makes Seq/Par bit-equality structural.
-            return crate::plan::run_node_plan(self.name(), graph, opts, trace, 1);
-        }
         let start = Instant::now();
         let run_span = trace.span("run", &[("engine", self.name().into())]);
         let n = graph.num_nodes();

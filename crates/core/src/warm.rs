@@ -13,6 +13,11 @@
 //! a fraction of the graph (see [`WarmPolicy::max_frontier_frac`]) or the
 //! previous run did not converge, it falls back to a cold run.
 //!
+//! The plan is the state's only copy of the graph: [`WarmState::new`]
+//! compiles the source graph and drops it, so a state built from a graph
+//! holds the same memory as one loaded from the plan store
+//! ([`WarmState::from_plan`]).
+//!
 //! # Cost
 //!
 //! A warm run costs O(frontier + touched), not O(N). The state keeps one
@@ -154,11 +159,6 @@ pub struct WarmSnapshot {
 /// persistent worker pool, the packed beliefs of the last run, and the
 /// currently bound evidence overlay.
 pub struct WarmState {
-    /// The source graph, when this state was built from one.
-    /// Plan-only states (loaded from the blob store) have `None` and
-    /// support every plan-path operation; only the engine-run fallback
-    /// ([`WarmState::begin_engine_run`]) requires the graph.
-    graph: Option<BeliefGraph>,
     plan: ExecGraph,
     pool: WorkerPool,
     packed: Vec<f32>,
@@ -173,7 +173,6 @@ pub struct WarmState {
     /// Overlay evidence currently bound on top of the base graph.
     overlay: BTreeMap<u32, u32>,
     converged: bool,
-    policy: WarmPolicy,
     /// Buffers every run reuses, so a warm run pays no O(N) setup.
     /// [`WarmState::apply`] keeps its queue eligibility in step with the
     /// plan's observed flags.
@@ -182,41 +181,26 @@ pub struct WarmState {
 
 impl WarmState {
     /// Builds warm-start state for `graph` with a worker pool of
-    /// `threads` (0 = all cores). Beliefs start at the priors; the first
-    /// [`WarmState::run_from`] is therefore always a cold run.
+    /// `threads` (0 = all cores): compiles the plan and drops the graph.
+    /// Beliefs start at the priors; the first [`WarmState::run_from`] is
+    /// therefore always a cold run.
     pub fn new(graph: BeliefGraph, threads: usize) -> Self {
-        let plan = ExecGraph::compile(&graph);
-        let packed = plan.priors().to_vec();
-        WarmState {
-            graph: Some(graph),
-            plan,
-            pool: WorkerPool::new(pool_threads(threads)),
-            packed,
-            saved: BTreeMap::new(),
-            overlay: BTreeMap::new(),
-            converged: false,
-            policy: WarmPolicy::default(),
-            scratch: RunScratch::default(),
-        }
+        Self::from_plan(ExecGraph::compile(&graph), threads)
     }
 
-    /// Builds warm-start state directly from a compiled plan (typically
-    /// one mmap'd back from the blob store) without a source graph. The
-    /// plan's priors and observed flags are taken as the base evidence
-    /// state, so the plan must not have overlay evidence bound. Every
-    /// plan-path operation works; [`WarmState::begin_engine_run`] (the
-    /// cold fallback for engines without a plan schedule) errors.
+    /// Builds warm-start state from a compiled plan (typically one
+    /// mmap'd back from the blob store). The plan's priors and observed
+    /// flags are taken as the base evidence state, so the plan must not
+    /// have overlay evidence bound.
     pub fn from_plan(plan: ExecGraph, threads: usize) -> Self {
         let packed = plan.priors().to_vec();
         WarmState {
-            graph: None,
             plan,
             pool: WorkerPool::new(pool_threads(threads)),
             packed,
             saved: BTreeMap::new(),
             overlay: BTreeMap::new(),
             converged: false,
-            policy: WarmPolicy::default(),
             scratch: RunScratch::default(),
         }
     }
@@ -254,16 +238,6 @@ impl WarmState {
         Ok(())
     }
 
-    /// The policy [`crate::BpEngine::run_from`] consults.
-    pub fn policy(&self) -> &WarmPolicy {
-        &self.policy
-    }
-
-    /// Replaces the stored policy.
-    pub fn set_policy(&mut self, policy: WarmPolicy) {
-        self.policy = policy;
-    }
-
     /// Number of nodes in the graph.
     pub fn num_nodes(&self) -> usize {
         self.plan.num_nodes()
@@ -272,14 +246,6 @@ impl WarmState {
     /// The compiled execution plan.
     pub fn plan(&self) -> &ExecGraph {
         &self.plan
-    }
-
-    /// The source graph with the current evidence overlay applied, when
-    /// this state was built from one (`None` for plan-only states loaded
-    /// from the store). Its belief records are only refreshed by
-    /// [`WarmState::sync_graph`].
-    pub fn graph(&self) -> Option<&BeliefGraph> {
-        self.graph.as_ref()
     }
 
     /// The packed posterior array of the last run (priors before any run).
@@ -307,17 +273,8 @@ impl WarmState {
         self.pool.threads()
     }
 
-    /// Writes the packed posteriors back into the graph's AoS belief
-    /// records (so [`WarmState::graph`] reflects the last run). No-op for
-    /// plan-only states.
-    pub fn sync_graph(&mut self) {
-        if let Some(g) = self.graph.as_mut() {
-            self.plan.store_beliefs(&self.packed, g);
-        }
-    }
-
-    /// Applies an evidence delta to the graph, the compiled plan and the
-    /// packed beliefs, returning the ids of nodes whose binding actually
+    /// Applies an evidence delta to the compiled plan and the packed
+    /// beliefs, returning the ids of nodes whose binding actually
     /// changed (already-identical observations are skipped).
     ///
     /// Rejects out-of-range nodes or states with
@@ -353,19 +310,13 @@ impl WarmState {
             if !self.overlay.contains_key(&v) {
                 // First overlay touch: capture the node's base binding
                 // before the observation clobbers it.
-                let base = match self.graph.as_ref() {
-                    Some(g) => (g.priors()[v as usize], g.observed()[v as usize]),
-                    None => (
-                        Belief::from_slice(self.plan.node_slice(self.plan.priors(), v)),
-                        self.plan.observed()[v as usize],
-                    ),
-                };
+                let base = (
+                    Belief::from_slice(self.plan.node_slice(self.plan.priors(), v)),
+                    self.plan.observed()[v as usize],
+                );
                 self.saved.insert(v, base);
             }
             self.overlay.insert(v, s);
-            if let Some(g) = self.graph.as_mut() {
-                g.observe(v, s as usize);
-            }
             self.plan.bind_observed(v, s as usize);
             self.scratch.observed_changed(&self.plan, v);
             let off = self.plan.node_off(v);
@@ -384,14 +335,8 @@ impl WarmState {
             if base_observed {
                 // The node was observed in the base graph: restore that
                 // observation rather than freeing the node.
-                if let Some(g) = self.graph.as_mut() {
-                    g.observe(v, base.argmax());
-                }
                 self.plan.bind_observed(v, base.argmax());
             } else {
-                if let Some(g) = self.graph.as_mut() {
-                    g.unobserve(v, base);
-                }
                 self.plan.bind_prior(v, base.as_slice());
             }
             self.scratch.observed_changed(&self.plan, v);
@@ -559,40 +504,11 @@ impl WarmState {
             frontier: frontier.len(),
         })
     }
-
-    /// First half of a cold run through an arbitrary [`crate::BpEngine`] (the
-    /// default [`crate::BpEngine::run_from`] path for engines without a warm
-    /// schedule): resets the evidence-bound graph's beliefs and hands it
-    /// out for the engine to run on. Errors for plan-only states — those
-    /// can only run engines with a plan schedule.
-    pub fn begin_engine_run(&mut self) -> Result<&mut BeliefGraph, EngineError> {
-        let g = self.graph.as_mut().ok_or_else(|| {
-            EngineError::InvalidGraph(
-                "plan-only warm state (loaded from a store) has no source graph to run a \
-                 graph-path engine on"
-                    .into(),
-            )
-        })?;
-        g.reset_beliefs();
-        Ok(g)
-    }
-
-    /// Second half of [`WarmState::begin_engine_run`]: reloads the packed
-    /// state from the graph the engine just wrote.
-    pub fn finish_engine_run(&mut self, converged: bool) {
-        if let Some(g) = self.graph.as_ref() {
-            self.plan.load_beliefs(g, &mut self.packed);
-        }
-        self.converged = converged;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BpEngine;
-    use crate::par::ParNodeEngine;
-    use crate::seq::SeqNodeEngine;
     use credo_graph::generators::{synthetic, GenOptions};
 
     fn linf(a: &[f32], b: &[f32]) -> f32 {
@@ -701,7 +617,10 @@ mod tests {
             .unwrap();
         assert!(state.evidence().is_empty());
         assert!(!state.plan().observed()[5]);
-        assert_eq!(state.graph().unwrap().priors()[5], base);
+        assert_eq!(
+            state.plan().node_slice(state.plan().priors(), 5),
+            base.as_slice()
+        );
     }
 
     #[test]
@@ -800,34 +719,6 @@ mod tests {
             .unwrap();
         assert_eq!(run.stats.iterations, 0, "expired deadline runs nothing");
         assert!(!run.stats.converged);
-    }
-
-    #[test]
-    fn engine_run_from_default_and_override_agree() {
-        let g = synthetic(300, 1200, &GenOptions::new(2).with_seed(13));
-        let opts = BpOptions::default();
-        let delta = EvidenceDelta::observing(&[(7, 1)]);
-
-        // Override (warm-capable node engine).
-        let mut warm = WarmState::new(g.clone(), 1);
-        SeqNodeEngine
-            .run_from(&mut warm, &EvidenceDelta::none(), &opts)
-            .unwrap();
-        SeqNodeEngine.run_from(&mut warm, &delta, &opts).unwrap();
-
-        // Default (cold fallback through an edge engine).
-        let mut cold = WarmState::new(g, 1);
-        crate::seq::SeqEdgeEngine
-            .run_from(&mut cold, &EvidenceDelta::none(), &opts)
-            .unwrap();
-        crate::seq::SeqEdgeEngine
-            .run_from(&mut cold, &delta, &opts)
-            .unwrap();
-
-        assert!(
-            linf(warm.beliefs(), cold.beliefs()) <= 1e-3,
-            "engines disagree beyond the cross-engine tolerance"
-        );
     }
 
     /// SplitMix64, so the stream below does not move when a library RNG
@@ -962,16 +853,15 @@ mod tests {
         let g = synthetic(400, 1600, &GenOptions::new(2).with_seed(21));
         let opts = BpOptions::default();
         let delta = EvidenceDelta::observing(&[(11, 0), (200, 1)]);
+        let policy = WarmPolicy::default();
         let mut a = WarmState::new(g.clone(), 1);
         let mut b = WarmState::new(g, 4);
-        for (engine, state) in [
-            (&SeqNodeEngine as &dyn BpEngine, &mut a),
-            (&ParNodeEngine as &dyn BpEngine, &mut b),
-        ] {
-            engine
-                .run_from(state, &EvidenceDelta::none(), &opts)
-                .unwrap();
-            engine.run_from(state, &delta, &opts).unwrap();
+        for (name, state) in [("C Node", &mut a), ("Par Node", &mut b)] {
+            for d in [&EvidenceDelta::none(), &delta] {
+                state
+                    .run_from(name, d, &opts, &policy, &Dispatch::none())
+                    .unwrap();
+            }
         }
         assert!(linf(a.beliefs(), b.beliefs()) <= 1e-4);
     }

@@ -1,8 +1,34 @@
 //! Kernel launch: functional execution plus the timing model.
 
 use crate::device::Device;
-use rayon::prelude::*;
+use std::num::NonZeroUsize;
 use std::time::Duration;
+
+/// Maps `f` over `0..n` on scoped host threads, one contiguous chunk per
+/// available core, and returns the results in index order.
+fn par_map<R, F>(n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let workers = cores.min(n).max(1);
+    if workers == 1 {
+        return (0..n).map(f).collect();
+    }
+    let chunk = n.div_ceil(workers);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| scope.spawn(move || (lo..(lo + chunk).min(n)).map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("kernel block worker panicked"))
+            .collect()
+    })
+}
 
 /// Grid configuration for a kernel launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,27 +231,24 @@ impl Device {
         // Functional execution + per-block accounting. Aggregation is
         // collected per block and folded sequentially so the timing is
         // deterministic regardless of host scheduling.
-        let aggs: Vec<BlockAgg> = (0..cfg.grid_blocks as usize)
-            .into_par_iter()
-            .map(|b| {
-                let mut agg = BlockAgg::default();
-                let mut ctx = ThreadCtx::new(&p);
-                let mut warp_max = 0.0f64;
-                for t in 0..bt {
-                    ctx.reset_counters();
-                    f(&mut ctx, b * bt + t);
-                    warp_max = warp_max.max(ctx.cycles);
-                    agg.effective_bytes += ctx.effective_global_bytes;
-                    agg.atomics += ctx.atomics;
-                    if (t + 1) % warp == 0 || t + 1 == bt {
-                        agg.warp_cycles += warp_max;
-                        warp_max = 0.0;
-                    }
+        let aggs: Vec<BlockAgg> = par_map(cfg.grid_blocks as usize, |b| {
+            let mut agg = BlockAgg::default();
+            let mut ctx = ThreadCtx::new(&p);
+            let mut warp_max = 0.0f64;
+            for t in 0..bt {
+                ctx.reset_counters();
+                f(&mut ctx, b * bt + t);
+                warp_max = warp_max.max(ctx.cycles);
+                agg.effective_bytes += ctx.effective_global_bytes;
+                agg.atomics += ctx.atomics;
+                if (t + 1) % warp == 0 || t + 1 == bt {
+                    agg.warp_cycles += warp_max;
+                    warp_max = 0.0;
                 }
-                agg.max_state = ctx.local_state_bytes;
-                agg
-            })
-            .collect();
+            }
+            agg.max_state = ctx.local_state_bytes;
+            agg
+        });
 
         let mut total = BlockAgg::default();
         for a in &aggs {

@@ -7,7 +7,7 @@
 //! ## What it does
 //!
 //! * **Functional execution**: [`Device::launch`] runs a kernel closure for
-//!   every thread of a grid, blocks in parallel on the host (rayon),
+//!   every thread of a grid, blocks in parallel on scoped host threads,
 //!   threads within a block sequentially. Results are real — the CUDA
 //!   engines' beliefs are checked against the sequential CPU engines.
 //! * **Timing model**: each thread reports its work through a

@@ -1,10 +1,11 @@
 //! Execution-plan agreement properties.
 //!
-//! Every ExecGraph-lowered engine must land within 1e-4 L∞ of the direct
-//! (un-lowered) sequential per-node engine — across generator families,
-//! thread counts, mixed cardinalities up to `MAX_BELIEFS`, and observed
-//! nodes. For the node paradigm the contract is stronger (bit-identity),
-//! which the unit suites pin; these properties guard the whole surface.
+//! Every ExecGraph-lowered engine (Par Node, Par Edge) must land within
+//! 1e-4 L∞ of the AoS sequential per-node engine (Seq Node, the paper's C
+//! Node) — across generator families, thread counts, mixed cardinalities
+//! up to `MAX_BELIEFS`, and observed nodes. For the node paradigm the
+//! contract is stronger (bit-identity), which the unit suites pin; these
+//! properties guard the whole surface.
 
 use credo::engines::{ParEdgeEngine, ParNodeEngine, SeqNodeEngine};
 use credo::{BpEngine, BpOptions};
@@ -106,7 +107,7 @@ fn assert_close(reference: &BeliefGraph, work: &BeliefGraph, tol: f32, label: &s
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Mixed cardinalities: plan-lowered node engines vs the direct
+    /// Mixed cardinalities: the plan-lowered node engine vs the AoS
     /// sequential reference. (The edge paradigm requires uniform
     /// cardinality and is covered by the uniform property below.)
     #[test]
@@ -120,34 +121,23 @@ proptest! {
         let mut base = mixed_cardinality_graph(n, extra, seed);
         observe_some(&mut base, observe, seed ^ 0xabcd);
         let mut reference = base.clone();
-        SeqNodeEngine
-            .run(&mut reference, &pinned(20).without_exec_plan())
-            .unwrap();
-
-        let mut seq = base.clone();
-        SeqNodeEngine.run(&mut seq, &pinned(20)).unwrap();
-        for (v, (a, b)) in reference.beliefs().iter().zip(seq.beliefs()).enumerate() {
-            prop_assert!(
-                a.linf_diff(b) < 1e-4,
-                "plan Seq Node diverged at node {v}: {a:?} vs {b:?}"
-            );
-        }
+        SeqNodeEngine.run(&mut reference, &pinned(20)).unwrap();
 
         let mut par = base.clone();
         ParNodeEngine
             .run(&mut par, &pinned(20).with_threads(threads))
             .unwrap();
-        for (v, (a, b)) in seq.beliefs().iter().zip(par.beliefs()).enumerate() {
+        for (v, (a, b)) in reference.beliefs().iter().zip(par.beliefs()).enumerate() {
             prop_assert!(
                 a.linf_diff(b) == 0.0,
-                "plan Par Node is not bit-identical to plan Seq Node at node {v}"
+                "plan Par Node is not bit-identical to AoS Seq Node at node {v}"
             );
         }
     }
 
     /// Uniform cardinalities across every generator family and potential
-    /// kind: all three plan-lowered engines vs the direct sequential
-    /// reference, with observed nodes mixed in.
+    /// kind: both plan-lowered engines vs the AoS sequential reference,
+    /// with observed nodes mixed in.
     #[test]
     fn plan_engines_match_direct_across_generators(
         family in 0usize..4,
@@ -171,28 +161,26 @@ proptest! {
         };
         observe_some(&mut base, observe, seed ^ 0x1234);
         let mut reference = base.clone();
-        SeqNodeEngine
-            .run(&mut reference, &pinned(20).without_exec_plan())
-            .unwrap();
+        SeqNodeEngine.run(&mut reference, &pinned(20)).unwrap();
 
-        for (name, engine, opts) in [
-            ("Seq Node", &SeqNodeEngine as &dyn BpEngine, pinned(20)),
-            ("Par Node", &ParNodeEngine, pinned(20).with_threads(threads)),
-            ("Par Edge", &ParEdgeEngine, pinned(20).with_threads(threads)),
+        for (name, engine) in [
+            ("Par Node", &ParNodeEngine as &dyn BpEngine),
+            ("Par Edge", &ParEdgeEngine),
         ] {
+            let opts = pinned(20).with_threads(threads);
             let mut work = base.clone();
             engine.run(&mut work, &opts).unwrap();
             for (v, (a, b)) in reference.beliefs().iter().zip(work.beliefs()).enumerate() {
                 prop_assert!(
                     a.linf_diff(b) < 1e-4,
-                    "plan {name} diverged from direct C Node at node {v}: {a:?} vs {b:?}"
+                    "plan {name} diverged from AoS C Node at node {v}: {a:?} vs {b:?}"
                 );
             }
         }
     }
 
     /// Queue modes under the plan converge to the same fixed point as the
-    /// direct full-sweep reference.
+    /// AoS full-sweep reference.
     #[test]
     fn plan_queue_modes_converge_to_direct_fixed_point(
         seed in any::<u64>(),
@@ -201,7 +189,7 @@ proptest! {
         let base = synthetic(120, 480, &GenOptions::new(2).with_seed(seed));
         let mut reference = base.clone();
         SeqNodeEngine
-            .run(&mut reference, &BpOptions::default().without_exec_plan())
+            .run(&mut reference, &BpOptions::default())
             .unwrap();
         let queued = BpOptions::with_work_queue().with_threads(threads);
         let residual = BpOptions::default()
@@ -214,7 +202,7 @@ proptest! {
                 for (a, b) in reference.beliefs().iter().zip(work.beliefs()) {
                     prop_assert!(
                         a.linf_diff(b) < 5e-3,
-                        "plan {} queue mode diverged from direct reference",
+                        "plan {} queue mode diverged from the AoS reference",
                         engine.name()
                     );
                 }
@@ -244,11 +232,11 @@ fn observed_nodes_stay_fixed_under_the_plan() {
 fn max_cardinality_graphs_roundtrip_through_the_plan() {
     // Full-width beliefs exercise the f32x8 kernel path end to end.
     let g = grid(6, 6, &GenOptions::new(MAX_BELIEFS).with_seed(11));
-    let mut direct = g.clone();
+    let mut aos = g.clone();
     let mut planned = g.clone();
-    SeqNodeEngine
-        .run(&mut direct, &pinned(15).without_exec_plan())
+    SeqNodeEngine.run(&mut aos, &pinned(15)).unwrap();
+    ParNodeEngine
+        .run(&mut planned, &pinned(15).with_threads(1))
         .unwrap();
-    SeqNodeEngine.run(&mut planned, &pinned(15)).unwrap();
-    assert_close(&direct, &planned, 1e-4, "grid k=32");
+    assert_close(&aos, &planned, 1e-4, "grid k=32");
 }

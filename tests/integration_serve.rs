@@ -9,7 +9,7 @@ use credo::graph::generators::{
 use credo::graph::BeliefGraph;
 use credo::serve::protocol::{ERR_BAD_REQUEST, ERR_DEADLINE, ERR_SHED, ERR_UNKNOWN_GRAPH};
 use credo::serve::{Client, Request, ServeConfig, Server};
-use credo::{BpEngine, BpOptions, Dispatch, EvidenceDelta, WarmState};
+use credo::{BpOptions, Dispatch, EvidenceDelta, WarmPolicy, WarmRun, WarmState};
 use std::time::Duration;
 
 /// Tight stopping threshold: the 1e-4 warm-vs-cold agreement checks need
@@ -46,14 +46,17 @@ fn families() -> Vec<(&'static str, BeliefGraph)> {
 #[test]
 fn warm_start_matches_cold_across_families_and_delta_sizes() {
     let opts = tight_opts();
-    let engine = credo::engines::SeqNodeEngine;
+    let policy = WarmPolicy::default();
+    let run_from = |state: &mut WarmState, delta: &EvidenceDelta| -> WarmRun {
+        state
+            .run_from("C Node", delta, &opts, &policy, &Dispatch::none())
+            .unwrap()
+    };
     for (family, g) in families() {
         let n = g.num_nodes() as u32;
         let base: Vec<(u32, u32)> = (0..20).map(|i| (i * (n / 21), i % 2)).collect();
         let mut warm = WarmState::new(g.clone(), 1);
-        let first = engine
-            .run_from(&mut warm, &EvidenceDelta::observing(&base), &opts)
-            .unwrap();
+        let first = run_from(&mut warm, &EvidenceDelta::observing(&base));
         assert!(first.stats.converged, "{family}: base run must converge");
 
         for delta_size in [1usize, 4, 10] {
@@ -62,9 +65,7 @@ fn warm_start_matches_cold_across_families_and_delta_sizes() {
                 .iter()
                 .map(|&(v, s)| (v, 1 - s))
                 .collect();
-            let run = engine
-                .run_from(&mut warm, &EvidenceDelta::observing(&flipped), &opts)
-                .unwrap();
+            let run = run_from(&mut warm, &EvidenceDelta::observing(&flipped));
             assert!(run.stats.converged, "{family}/{delta_size}: warm converges");
             assert!(
                 run.warm,
@@ -76,9 +77,7 @@ fn warm_start_matches_cold_across_families_and_delta_sizes() {
                 *abs = *f;
             }
             let mut cold = WarmState::new(g.clone(), 1);
-            engine
-                .run_from(&mut cold, &EvidenceDelta::observing(&absolute), &opts)
-                .unwrap();
+            run_from(&mut cold, &EvidenceDelta::observing(&absolute));
 
             let linf = warm
                 .beliefs()
@@ -92,13 +91,7 @@ fn warm_start_matches_cold_across_families_and_delta_sizes() {
             );
 
             // Revert for the next delta size.
-            engine
-                .run_from(
-                    &mut warm,
-                    &EvidenceDelta::observing(&base[..delta_size]),
-                    &opts,
-                )
-                .unwrap();
+            run_from(&mut warm, &EvidenceDelta::observing(&base[..delta_size]));
         }
     }
 }
