@@ -23,7 +23,11 @@
 //! geomean); rows carrying `warm_speedup` gate the warm-start serving
 //! artifact (`BENCH_serve.json`: per-delta cold / warm seconds, each a
 //! median of repeats, plus their geomean, blessed with a wide tolerance
-//! because the warm denominators are sub-millisecond).
+//! because the warm denominators are sub-millisecond); rows carrying
+//! `max_abs_diff_vs_resident` gate the streamed-vs-resident artifact
+//! (`BENCH_stream.json`: per graph, resident Par Node seconds over
+//! resident-shard Stream Node seconds, plus their geomean, blessed with
+//! a wide tolerance because each is one single-run timing ratio).
 //!
 //! ```text
 //! # refresh the artifact, then check it
@@ -244,6 +248,56 @@ fn extract_serve_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
     Ok(ratios)
 }
 
+/// Extracts the gated ratios from a `BENCH_stream.json` row array: per
+/// graph, the resident Par Node's seconds over the resident-shard Stream
+/// Node's (higher means the sharded sweep is closer to the resident
+/// one), plus their geomean.
+fn extract_stream_ratios(rows: &[Value]) -> Result<Vec<(String, f64)>, String> {
+    let seconds = |graph: &str, engine: &str| -> Option<f64> {
+        rows.iter()
+            .find(|r| {
+                r.get("graph").and_then(Value::as_str) == Some(graph)
+                    && r.get("engine").and_then(Value::as_str) == Some(engine)
+            })
+            .and_then(|r| r.get("seconds"))
+            .and_then(Value::as_f64)
+    };
+    let mut graphs: Vec<&str> = Vec::new();
+    for row in rows {
+        let graph = row
+            .get("graph")
+            .and_then(Value::as_str)
+            .ok_or("stream row without a 'graph' field")?;
+        if !graphs.contains(&graph) {
+            graphs.push(graph);
+        }
+    }
+    let mut ratios = Vec::new();
+    let mut all = Vec::new();
+    for graph in graphs {
+        let par = seconds(graph, "Par Node");
+        let stream = seconds(graph, "Stream Node (resident shards)");
+        let (Some(par), Some(stream)) = (par, stream) else {
+            return Err(format!(
+                "stream graph '{graph}' lacks a Par Node or resident Stream Node row"
+            ));
+        };
+        if stream <= 0.0 {
+            return Err(format!("stream graph '{graph}' has a non-positive time"));
+        }
+        ratios.push((
+            format!("stream/{graph}/par_over_stream_resident"),
+            par / stream,
+        ));
+        all.push(par / stream);
+    }
+    if all.is_empty() {
+        return Err("no stream rows — wrong or truncated artifact?".into());
+    }
+    ratios.push(("geomean/par_over_stream_resident".into(), geomean(&all)));
+    Ok(ratios)
+}
+
 fn load_fresh(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read fresh artifact {path}: {e}"))?;
@@ -260,6 +314,11 @@ fn load_fresh(path: &str) -> Result<Vec<(String, f64)>, String> {
         extract_dist_ratios(rows)
     } else if rows.iter().any(|r| r.get("warm_speedup").is_some()) {
         extract_serve_ratios(rows)
+    } else if rows
+        .iter()
+        .any(|r| r.get("max_abs_diff_vs_resident").is_some())
+    {
+        extract_stream_ratios(rows)
     } else {
         extract_ratios(rows)
     }
@@ -371,5 +430,42 @@ fn main() {
         }
         Ok(()) if !missing.is_empty() => std::process::exit(1),
         Ok(()) => println!("OK: all {} gated ratios within tolerance", gates.len()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(graph: &str, engine: &str, seconds: f64) -> Value {
+        serde_json::from_str(&format!(
+            r#"{{"graph": "{graph}", "engine": "{engine}", "seconds": {seconds:?},
+                "max_abs_diff_vs_resident": 0.0}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn stream_rows_gate_par_over_resident_stream_per_graph() {
+        let rows = vec![
+            row("1kx4k", "Par Node", 1.0),
+            row("1kx4k", "Stream Node (resident shards)", 2.0),
+            row("1kx4k", "Stream Node (spill)", 5.0),
+            row("10kx40k", "Par Node", 4.0),
+            row("10kx40k", "Stream Node (resident shards)", 2.0),
+        ];
+        let ratios = extract_stream_ratios(&rows).unwrap();
+        assert_eq!(
+            ratios,
+            vec![
+                ("stream/1kx4k/par_over_stream_resident".to_string(), 0.5),
+                ("stream/10kx40k/par_over_stream_resident".to_string(), 2.0),
+                ("geomean/par_over_stream_resident".to_string(), 1.0),
+            ]
+        );
+        assert!(
+            extract_stream_ratios(&rows[..1]).is_err(),
+            "a graph without its stream row"
+        );
     }
 }

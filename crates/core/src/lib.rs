@@ -20,6 +20,7 @@
 mod convergence;
 mod engine;
 mod math;
+mod msg_cache;
 mod opts;
 mod plan;
 mod queue;

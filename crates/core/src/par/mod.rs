@@ -40,7 +40,7 @@ pub use edge::ParEdgeEngine;
 pub use node::ParNodeEngine;
 pub use pool::WorkerPool;
 pub use queue::{ParQueueWorker, ParWorkQueue};
-pub use tile::degree_tiles;
+pub use tile::{degree_cuts, degree_tiles};
 
 use crate::openmp::thread_count;
 use tracing::Dispatch;

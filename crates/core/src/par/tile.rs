@@ -17,13 +17,22 @@
 /// list is shorter than `parts`. Tiles concatenate back to exactly
 /// `active`.
 pub fn degree_tiles<'a>(active: &'a [u32], degrees: &[u32], parts: usize) -> Vec<&'a [u32]> {
+    let mut cuts = Vec::new();
+    degree_cuts(active, degrees, parts, &mut cuts);
+    cuts.windows(2).map(|w| &active[w[0]..w[1]]).collect()
+}
+
+/// [`degree_tiles`] as cut positions written into a caller-kept buffer:
+/// tile `i` is `active[cuts[i]..cuts[i + 1]]`, so `cuts[i]` is also
+/// where the tile starts in `active`. An empty list has no cuts.
+pub fn degree_cuts(active: &[u32], degrees: &[u32], parts: usize, cuts: &mut Vec<usize>) {
     let parts = parts.max(1);
+    cuts.clear();
     if active.is_empty() {
-        return Vec::new();
+        return;
     }
     let mut remaining: u64 = active.iter().map(|&v| degrees[v as usize] as u64 + 1).sum();
-    let mut tiles = Vec::with_capacity(parts);
-    let mut start = 0usize;
+    cuts.push(0);
     let mut acc = 0u64;
     // The cut target is fixed when a tile opens (remaining weight spread
     // over the remaining parts), so mid-tile accumulation cannot shrink it.
@@ -33,20 +42,18 @@ pub fn degree_tiles<'a>(active: &'a [u32], degrees: &[u32], parts: usize) -> Vec
         acc += w;
         remaining -= w;
         if acc >= target {
-            tiles.push(&active[start..=i]);
-            start = i + 1;
+            cuts.push(i + 1);
             acc = 0;
-            let parts_left = (parts - tiles.len()) as u64;
+            let parts_left = (parts - (cuts.len() - 1)) as u64;
             if parts_left <= 1 {
                 break;
             }
             target = remaining.div_ceil(parts_left);
         }
     }
-    if start < active.len() {
-        tiles.push(&active[start..]);
+    if cuts.last() != Some(&active.len()) {
+        cuts.push(active.len());
     }
-    tiles
 }
 
 #[cfg(test)]

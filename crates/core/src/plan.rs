@@ -24,6 +24,7 @@
 use crate::convergence::ConvergenceTracker;
 use crate::engine::EngineError;
 use crate::math::kernels;
+use crate::msg_cache::MsgCache;
 use crate::openmp::SharedSlice;
 use crate::opts::BpOptions;
 use crate::par::{degree_tiles, emit_pool_metrics, range_chunks, ParWorkQueue, WorkerPool};
@@ -31,118 +32,6 @@ use crate::stats::{BpStats, IterationStats};
 use credo_graph::{BeliefGraph, ExecGraph, PackedArc, MAX_BELIEFS};
 use std::time::Instant;
 use tracing::Dispatch;
-
-/// Packed per-source message cache for shared-potential plans.
-///
-/// The shared store lowers to at most two pool matrices, so every arc
-/// leaving a node carries one of (at most) two messages; one mat-vec per
-/// source per orientation covers the whole arc set. Cached values come
-/// from the same [`kernels::message_packed`] call the per-arc path makes,
-/// so results are bit-identical whether or not the cache is fresh.
-struct PackedMsgCache {
-    fwd: Vec<f32>,
-    rev: Vec<f32>,
-    enabled: bool,
-    /// Pool offset of the reverse-orientation matrix, when distinct from
-    /// the forward one (asymmetric shared potentials).
-    rev_off: Option<u32>,
-    fresh: bool,
-}
-
-impl PackedMsgCache {
-    fn new(plan: &ExecGraph) -> Self {
-        let enabled = plan.is_shared();
-        let rev_off = if enabled && plan.pool_matrices() == 2 {
-            let card = plan
-                .uniform_card()
-                .expect("shared stores imply uniform cardinality");
-            Some((card * card) as u32)
-        } else {
-            None
-        };
-        PackedMsgCache {
-            fwd: Vec::new(),
-            rev: Vec::new(),
-            enabled,
-            rev_off,
-            fresh: false,
-        }
-    }
-
-    /// Recomputes both orientations from the packed `prev` beliefs, in
-    /// parallel on `pool`. Skipped for per-edge potentials and for small
-    /// active sets, where touching every source would cost more than the
-    /// per-arc mat-vecs it saves.
-    fn refresh(&mut self, plan: &ExecGraph, pool: &WorkerPool, prev: &[f32], active_len: usize) {
-        let n = plan.num_nodes();
-        self.fresh = false;
-        if !self.enabled || active_len * 4 < n {
-            return;
-        }
-        let card = plan
-            .uniform_card()
-            .expect("shared stores imply uniform cardinality");
-        let len = plan.packed_len();
-        if self.fwd.len() != len {
-            self.fwd = vec![0.0; len];
-            if self.rev_off.is_some() {
-                self.rev = vec![0.0; len];
-            }
-        }
-        let pot_fwd = &plan.pot_pool()[..card * card];
-        let pot_rev = self
-            .rev_off
-            .map(|o| &plan.pot_pool()[o as usize..o as usize + card * card]);
-        let chunks = range_chunks(n, pool.threads());
-        let fwd_shared = SharedSlice::new(&mut self.fwd);
-        let rev_shared = SharedSlice::new(&mut self.rev);
-        let chunks_ref = &chunks;
-        pool.broadcast(&|i| {
-            let Some(&(lo, hi)) = chunks_ref.get(i) else {
-                return;
-            };
-            for v in lo..hi {
-                let off = v * card;
-                let src = &prev[off..off + card];
-                // SAFETY: node ranges are disjoint; one writer per slot.
-                let fwd = unsafe { std::slice::from_raw_parts_mut(fwd_shared.ptr_at(off), card) };
-                kernels::message_packed(src, pot_fwd, fwd);
-                if let Some(pot) = pot_rev {
-                    let rev =
-                        unsafe { std::slice::from_raw_parts_mut(rev_shared.ptr_at(off), card) };
-                    kernels::message_packed(src, pot, rev);
-                }
-            }
-        });
-        self.fresh = true;
-    }
-
-    /// The message along `arc` given the packed `prev` beliefs: a cache
-    /// read when fresh, otherwise one kernel call into `buf`.
-    #[inline]
-    fn arc_message<'a>(
-        &'a self,
-        plan: &ExecGraph,
-        arc: &PackedArc,
-        prev: &[f32],
-        buf: &'a mut [f32; MAX_BELIEFS],
-    ) -> &'a [f32] {
-        let c = arc.dst_card as usize;
-        if self.fresh {
-            let lo = arc.src_off as usize;
-            if arc.pot_off == 0 {
-                &self.fwd[lo..lo + c]
-            } else {
-                &self.rev[lo..lo + c]
-            }
-        } else {
-            let s = arc.src_off as usize;
-            let src = &prev[s..s + arc.src_card as usize];
-            kernels::message_packed(src, plan.potential(arc), &mut buf[..c]);
-            &buf[..c]
-        }
-    }
-}
 
 /// The buffers one [`run_node_plan_on`] call works in, kept between runs
 /// so a warm run's bookkeeping costs O(frontier + touched), not O(N).
@@ -165,7 +54,7 @@ pub(crate) struct RunScratch {
     in_degrees: Vec<u32>,
     /// Unobserved nodes, rebuilt for each run that sweeps without a queue.
     full_sweep: Vec<u32>,
-    cache: Option<PackedMsgCache>,
+    cache: Option<MsgCache>,
     /// Built by the first queued run.
     queue: Option<ParWorkQueue>,
 }
@@ -181,7 +70,11 @@ impl RunScratch {
         self.next = vec![0.0; plan.packed_len()];
         self.diffs.vals = vec![0.0; n];
         self.in_degrees = (0..n as u32).map(|v| plan.in_degree(v) as u32).collect();
-        self.cache = Some(PackedMsgCache::new(plan));
+        self.cache = Some(MsgCache::new(
+            plan.uniform_card(),
+            plan.pool_matrices(),
+            plan.pot_pool(),
+        ));
     }
 
     /// The run's queue, built on first use with `!plan.observed()` as
@@ -380,7 +273,7 @@ pub(crate) fn run_node_plan_on(
             ],
         );
         let msgs_before = message_updates;
-        cache.refresh(plan, pool, prev, active_len);
+        cache.refresh(plan.pot_pool(), pool, prev, active_len, n);
 
         let sum: f32 = {
             let (active, mut qworkers): (&[u32], Vec<_>) = match &mut queue {
@@ -398,6 +291,7 @@ pub(crate) fn run_node_plan_on(
             {
                 let prev_ref = &*prev;
                 let plan_ref = plan;
+                let pot_pool = plan.pot_pool();
                 let cache_ref = &*cache;
                 let next_shared = SharedSlice::new(&mut *next);
                 let diffs_shared = SharedSlice::new(&mut diffs.vals);
@@ -421,7 +315,7 @@ pub(crate) fn run_node_plan_on(
                         // `combine_incoming`, restated on packed slices:
                         // same product order, same every-8th rescale.
                         for (k, arc) in arcs.iter().enumerate() {
-                            let msg = cache_ref.arc_message(plan_ref, arc, prev_ref, &mut msg_buf);
+                            let msg = cache_ref.arc_message(pot_pool, arc, prev_ref, &mut msg_buf);
                             kernels::mul_assign_packed(&mut acc[..c], msg);
                             if k % 8 == 7 {
                                 kernels::scale_max_to_one_packed(&mut acc[..c]);
@@ -597,7 +491,7 @@ pub(crate) fn run_edge_plan(
     plan.load_beliefs(graph, &mut prev);
     let mut next: Vec<f32> = prev.clone();
     let mut diffs: Vec<f32> = vec![0.0; n];
-    let mut cache = PackedMsgCache::new(&plan);
+    let mut cache = MsgCache::new(plan.uniform_card(), plan.pool_matrices(), plan.pot_pool());
     let mut runs: Vec<RunBuf> = (0..threads).map(|_| RunBuf::default()).collect();
 
     let full_nodes: Vec<u32> = (0..n as u32)
@@ -647,7 +541,7 @@ pub(crate) fn run_edge_plan(
             ],
         );
         let msgs_before = message_updates;
-        cache.refresh(&plan, &pool, &prev, active_len);
+        cache.refresh(plan.pot_pool(), &pool, &prev, active_len, n);
 
         let sum: f32 = {
             let (active, mut qworkers): (&[u32], Vec<_>) = match &mut queue {
@@ -688,8 +582,12 @@ pub(crate) fn run_edge_plan(
                             run.sums.resize(run.sums.len() + card, 0.0);
                             cur = p;
                         }
-                        let msg =
-                            cache_ref.arc_message(plan_ref, &arcs_ref[k], prev_ref, &mut msg_buf);
+                        let msg = cache_ref.arc_message(
+                            plan_ref.pot_pool(),
+                            &arcs_ref[k],
+                            prev_ref,
+                            &mut msg_buf,
+                        );
                         let base = run.sums.len() - card;
                         for (slot, &m) in run.sums[base..].iter_mut().zip(msg) {
                             *slot += m.ln();

@@ -11,6 +11,14 @@
 //! iteration counts are bit-identical to the resident Par Node plan
 //! runner for any shard count and any thread count.
 //!
+//! Every sweep reads its messages from the same per-source cache as the
+//! resident runner ([`crate::msg_cache`]), over the shard's local and
+//! halo slots. It turns on when the shard's pool holds one or two square
+//! matrices of one cardinality (a shared store) and the sweep computes at
+//! least a quarter of the shard's local nodes, so full and certifying
+//! sweeps do one mat-vec per source slot and matrix, while small queue
+//! sweeps stay per-arc.
+//!
 //! Shards arrive through the [`ShardSource`] trait so the runner never
 //! assumes they are all resident: the in-memory [`ShardedExec`] hands out
 //! borrows, while `credo-stream`'s spill store loads one shard's arrays
@@ -33,9 +41,10 @@
 use crate::convergence::ConvergenceTracker;
 use crate::engine::{BpEngine, EngineError, Paradigm, Platform};
 use crate::math::kernels;
+use crate::msg_cache::MsgCache;
 use crate::openmp::SharedSlice;
 use crate::opts::BpOptions;
-use crate::par::{degree_tiles, emit_pool_metrics, pool_threads, WorkerPool};
+use crate::par::{degree_cuts, emit_pool_metrics, pool_threads, WorkerPool};
 use crate::stats::{BpStats, IterationStats};
 use credo_graph::{BeliefGraph, ExecShard, ShardCopy, ShardedExec, ShardedMeta, MAX_BELIEFS};
 use std::collections::BTreeMap;
@@ -157,6 +166,26 @@ pub struct ShardState {
     /// compile-time flags, updated by [`ShardState::apply_evidence`].
     pub observed: Vec<bool>,
     queue: Option<ShardQueue>,
+    scratch: SweepScratch,
+}
+
+/// The buffers [`sweep_shard`] works in, kept between sweeps.
+struct SweepScratch {
+    /// One message per local or halo slot (see [`crate::msg_cache`]).
+    cache: MsgCache,
+    /// Tile `i` of a sweep is `nodes[cuts[i]..cuts[i + 1]]`.
+    cuts: Vec<usize>,
+    /// Message updates per tile.
+    tile_msgs: Vec<u64>,
+}
+
+/// The cardinality every local and halo slot of `shard` shares, if one.
+fn uniform_slot_card(shard: &ExecShard) -> Option<usize> {
+    let slots = shard.node_off.len() - 1;
+    let stride = if slots > 0 { shard.slot_card(0) } else { 1 };
+    (0..=slots)
+        .all(|s| shard.node_off[s] as usize == s * stride)
+        .then_some(stride)
 }
 
 /// The work queue and change tracking of a warm-capable [`ShardState`]:
@@ -178,9 +207,9 @@ struct ShardQueue {
     /// Export indices (with [`WAKE`]) the evidence touched since the
     /// last [`ShardState::take_exports`].
     touched: Vec<u32>,
-    /// Per local node: the belief moved since the last collect;
+    /// The local nodes whose beliefs moved since the last collect;
     /// `all_changed` stands for every node (fresh or reset state).
-    changed: Vec<bool>,
+    changed: NodeSet,
     all_changed: bool,
     /// Per-local-node sweep scratch: whether any bit of the belief moved.
     moved: Vec<bool>,
@@ -197,14 +226,10 @@ impl ShardQueue {
         // Packed offset → slot: a division when every slot has the same
         // card (the common case), a binary search otherwise.
         let slots = local + shard.halo.len();
-        let stride = if slots > 0 { shard.slot_card(0) } else { 1 };
-        let uniform = (0..=slots).all(|s| shard.node_off[s] as usize == s * stride);
-        let slot_of = |off: u32| {
-            if uniform {
-                off as usize / stride
-            } else {
-                shard.node_off.partition_point(|&o| o <= off) - 1
-            }
+        let uniform = uniform_slot_card(shard);
+        let slot_of = |off: u32| match uniform {
+            Some(stride) => off as usize / stride,
+            None => shard.node_off.partition_point(|&o| o <= off) - 1,
         };
 
         let mut export_of = vec![NO_EXPORT; local];
@@ -253,7 +278,7 @@ impl ShardQueue {
             export_of,
             queued: NodeSet::new(local),
             touched: Vec::new(),
-            changed: vec![false; local],
+            changed: NodeSet::new(local),
             all_changed: true,
             moved: vec![false; local],
             sweep_nodes: Vec::new(),
@@ -295,6 +320,15 @@ impl ShardState {
                 .collect(),
             observed,
             queue: None,
+            scratch: SweepScratch {
+                cache: MsgCache::new(
+                    uniform_slot_card(shard),
+                    shard.pool_matrices as usize,
+                    &shard.pot_pool,
+                ),
+                cuts: Vec::new(),
+                tile_msgs: Vec::new(),
+            },
         }
     }
 
@@ -322,7 +356,7 @@ impl ShardState {
         if let Some(q) = &mut self.queue {
             q.queued.clear();
             q.touched.clear();
-            q.changed.fill(false);
+            q.changed.clear();
             q.all_changed = true;
         }
     }
@@ -338,8 +372,9 @@ impl ShardState {
     /// `observe` pins global nodes to one-hot beliefs, `clear` releases
     /// them back to their priors. Ids outside `shard.range` are ignored
     /// (the caller broadcasts the full delta to every shard). The active
-    /// list is rebuilt; pinning a node to the same state twice is a
-    /// no-op, mirroring [`BeliefGraph::observe`] /
+    /// list stays ascending and changes only at the touched nodes, so the
+    /// call costs O(touched), not O(local nodes); pinning a node to the
+    /// same state twice is a no-op, mirroring [`BeliefGraph::observe`] /
     /// [`BeliefGraph::unobserve`] semantics bit for bit.
     ///
     /// With a work queue, every touched node seeds it: itself and its
@@ -362,7 +397,7 @@ impl ShardState {
             let c = shard.slot_card(local);
             self.prev[off..off + c].copy_from_slice(&shard.priors[off..off + c]);
             self.next[off..off + c].copy_from_slice(&shard.priors[off..off + c]);
-            self.observed[local] = false;
+            self.set_observed(local, false);
             hit.push(local);
         }
         for &(v, s) in observe {
@@ -380,21 +415,37 @@ impl ShardState {
             self.prev[off..off + c].fill(0.0);
             self.prev[off + s as usize] = 1.0;
             self.next[off..off + c].copy_from_slice(&self.prev[off..off + c]);
-            self.observed[local] = true;
+            self.set_observed(local, true);
             hit.push(local);
         }
-        self.rebuild_active();
         if let Some(q) = &mut self.queue {
             for v in hit {
                 q.queued.insert(v as u32);
                 q.enqueue_readers(v);
-                q.changed[v] = true;
+                q.changed.insert(v as u32);
                 if q.export_of[v] != NO_EXPORT {
                     q.touched.push(q.export_of[v] | WAKE);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Sets local node `v`'s observed flag, inserting it into or removing
+    /// it from the ascending active list when the flag flips.
+    fn set_observed(&mut self, v: usize, observed: bool) {
+        if std::mem::replace(&mut self.observed[v], observed) == observed {
+            return;
+        }
+        match (self.active.binary_search(&(v as u32)), observed) {
+            (Ok(at), true) => {
+                self.active.remove(at);
+            }
+            (Err(at), false) => self.active.insert(at, v as u32),
+            // Already in step (only reachable if the public fields were
+            // edited by hand).
+            _ => {}
+        }
     }
 
     /// Nodes queued for the next queue-phase sweep (none without a work
@@ -512,13 +563,13 @@ impl ShardState {
         packed.clear();
         let full = std::mem::replace(&mut q.all_changed, false);
         if full {
+            q.changed.clear();
             packed.extend_from_slice(&self.prev[..shard.local_len()]);
-        }
-        for (v, changed) in q.changed.iter_mut().enumerate() {
-            if std::mem::take(changed) && !full {
-                nodes.push(v as u32);
-                let off = shard.slot_off(v);
-                packed.extend_from_slice(&self.prev[off..off + shard.slot_card(v)]);
+        } else {
+            q.changed.drain_sorted(nodes);
+            for &v in nodes.iter() {
+                let off = shard.slot_off(v as usize);
+                packed.extend_from_slice(&self.prev[off..off + shard.slot_card(v as usize)]);
             }
         }
         full
@@ -561,6 +612,15 @@ pub struct SweepReport {
 /// the caller has filled with sweep `t-1` values — and `next` is
 /// published to `prev` afterwards.
 ///
+/// Messages come from the state's message cache, the one the resident
+/// runner uses ([`crate::msg_cache`]): when the shard's pool holds one or
+/// two square matrices of one cardinality and the sweep covers at least
+/// a quarter of the local nodes, the sweep first computes one message
+/// per local or halo slot and matrix, and every arc reads it. Otherwise
+/// each arc computes its own. Both give the same bits. The tile cuts and
+/// per-tile counters live in the state too, so a sweep allocates nothing
+/// once the state has seen one of its size.
+///
 /// With a work queue the sweep also tracks what moved: changed nodes
 /// for the next collect, and in `report.exports` the moved exports. In
 /// the queue phase a node whose L1 change reaches `queue_threshold`
@@ -583,50 +643,57 @@ pub fn sweep_shard(
 ) {
     report.exports.clear();
     let queue_phase = phase == SweepPhase::Queue;
+    let ShardState {
+        prev,
+        next,
+        active,
+        in_degrees,
+        observed,
+        queue,
+        scratch,
+    } = st;
     let mut sweep_nodes = Vec::new();
-    if let Some(q) = &mut st.queue {
+    if let Some(q) = queue.as_mut() {
         sweep_nodes = std::mem::take(&mut q.sweep_nodes);
         if queue_phase {
             q.queued.drain_sorted(&mut sweep_nodes);
-            sweep_nodes.retain(|&v| !st.observed[v as usize]);
+            sweep_nodes.retain(|&v| !observed[v as usize]);
         } else {
             q.queued.clear();
         }
     }
-    let nodes: &[u32] = if queue_phase {
-        &sweep_nodes
-    } else {
-        &st.active
-    };
+    let nodes: &[u32] = if queue_phase { &sweep_nodes } else { active };
 
-    let tiles = degree_tiles(nodes, &st.in_degrees, threads);
+    let SweepScratch {
+        cache,
+        cuts,
+        tile_msgs,
+    } = scratch;
     // Tiles cut `nodes` in order: tile `i` fills the diffs from
-    // `starts[i]`, so they come out ascending with no per-node scratch.
-    let starts: Vec<usize> = tiles
-        .iter()
-        .scan(0, |at, t| {
-            *at += t.len();
-            Some(*at - t.len())
-        })
-        .collect();
+    // `cuts[i]`, so they come out ascending with no per-node scratch.
+    degree_cuts(nodes, in_degrees, threads, cuts);
+    tile_msgs.clear();
+    tile_msgs.resize(cuts.len().saturating_sub(1), 0);
+    let pot_pool: &[f32] = &shard.pot_pool;
+    cache.refresh(pot_pool, pool, prev, nodes.len(), shard.local_nodes());
     report.diffs.clear();
     report.diffs.resize(nodes.len(), 0.0);
+    let cuts: &[usize] = cuts;
     {
-        let prev_ref = &st.prev;
-        let next_shared = SharedSlice::new(&mut st.next);
+        let (prev_ref, cache_ref) = (&*prev, &*cache);
+        let next_shared = SharedSlice::new(next);
         let diff_shared = SharedSlice::new(&mut report.diffs);
-        let moved_shared = st.queue.as_mut().map(|q| SharedSlice::new(&mut q.moved));
-        let mut tile_msgs = vec![0u64; tiles.len()];
-        let msgs_shared = SharedSlice::new(&mut tile_msgs);
-        let (tiles_ref, starts_ref, moved_ref) = (&tiles, &starts, &moved_shared);
+        let moved_shared = queue.as_mut().map(|q| SharedSlice::new(&mut q.moved));
+        let msgs_shared = SharedSlice::new(tile_msgs);
+        let moved_ref = &moved_shared;
         pool.broadcast(&|i| {
-            let Some(tile) = tiles_ref.get(i) else {
+            let (Some(&lo), Some(&hi)) = (cuts.get(i), cuts.get(i + 1)) else {
                 return;
             };
             let mut msg_buf = [0.0f32; MAX_BELIEFS];
             let mut acc = [0.0f32; MAX_BELIEFS];
             let mut local_msgs = 0u64;
-            for (at, &v) in tile.iter().enumerate() {
+            for (at, &v) in nodes[lo..hi].iter().enumerate() {
                 let off = shard.slot_off(v as usize);
                 let c = shard.slot_card(v as usize);
                 acc[..c].copy_from_slice(&shard.priors[off..off + c]);
@@ -634,10 +701,8 @@ pub fn sweep_shard(
                 // Same combine as the resident plan runner: same product
                 // order, same every-8th rescale.
                 for (j, arc) in arcs.iter().enumerate() {
-                    let s = arc.src_off as usize;
-                    let src = &prev_ref[s..s + arc.src_card as usize];
-                    kernels::message_packed(src, shard.potential(arc), &mut msg_buf[..c]);
-                    kernels::mul_assign_packed(&mut acc[..c], &msg_buf[..c]);
+                    let msg = cache_ref.arc_message(pot_pool, arc, prev_ref, &mut msg_buf);
+                    kernels::mul_assign_packed(&mut acc[..c], msg);
                     if j % 8 == 7 {
                         kernels::scale_max_to_one_packed(&mut acc[..c]);
                     }
@@ -659,25 +724,24 @@ pub fn sweep_shard(
                     }
                     std::slice::from_raw_parts_mut(next_shared.ptr_at(off), c)
                         .copy_from_slice(&acc[..c]);
-                    diff_shared.write(starts_ref[i] + at, diff);
+                    diff_shared.write(lo + at, diff);
                 }
             }
             // SAFETY: one slot per region index.
             unsafe { msgs_shared.write(i, local_msgs) };
         });
-        report.messages = tile_msgs.iter().sum::<u64>();
     }
+    report.messages = tile_msgs.iter().sum::<u64>();
 
     // Publish next -> prev for the computed nodes.
     {
-        let prev_shared = SharedSlice::new(&mut st.prev);
-        let next_ref = &st.next;
-        let tiles_ref = &tiles;
+        let prev_shared = SharedSlice::new(prev);
+        let next_ref = &*next;
         pool.broadcast(&|i| {
-            let Some(tile) = tiles_ref.get(i) else {
+            let (Some(&lo), Some(&hi)) = (cuts.get(i), cuts.get(i + 1)) else {
                 return;
             };
-            for &v in *tile {
+            for &v in &nodes[lo..hi] {
                 let off = shard.slot_off(v as usize);
                 let c = shard.slot_card(v as usize);
                 // SAFETY: unique node ids per tile.
@@ -691,13 +755,15 @@ pub fn sweep_shard(
 
     // Sequential bookkeeping in ascending order: the moved exports, the
     // next queue.
-    let Some(q) = &mut st.queue else {
+    let Some(q) = queue else {
         return;
     };
     for (&v, &d) in nodes.iter().zip(&report.diffs) {
         let crossed = queue_phase && d >= queue_threshold;
         let moved = q.moved[v as usize];
-        q.changed[v as usize] |= moved;
+        if moved {
+            q.changed.insert(v);
+        }
         if crossed {
             q.queued.insert(v);
             q.enqueue_readers(v as usize);
@@ -1584,20 +1650,34 @@ mod tests {
 
     #[test]
     fn sharded_is_bitwise_identical_to_resident_par_node() {
-        for shards in [1usize, 2, 8] {
-            for threads in [1usize, 3] {
-                let mut g1 = synthetic(120, 480, &GenOptions::new(3).with_seed(21));
-                let mut g2 = g1.clone();
-                let opts = BpOptions::default().with_threads(threads);
-                let s1 = ParNodeEngine.run(&mut g1, &opts).unwrap();
-                let s2 = ShardedEngine::new(shards).run(&mut g2, &opts).unwrap();
-                assert_eq!(s1.iterations, s2.iterations, "shards={shards}");
-                assert_eq!(s1.node_updates, s2.node_updates);
-                assert_eq!(s1.message_updates, s2.message_updates);
-                for (a, b) in s1.per_iteration.iter().zip(&s2.per_iteration) {
-                    assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "shards={shards}");
+        // One pool matrix (shared smoothing) and two (shared random,
+        // asymmetric): both take the cached path in full sweeps.
+        let kinds = [
+            ("smoothing", GenOptions::new(3).with_seed(21)),
+            (
+                "shared-random",
+                GenOptions::new(3)
+                    .with_seed(21)
+                    .with_potentials(PotentialKind::SharedRandom),
+            ),
+        ];
+        for (kind, gen) in kinds {
+            for shards in [1usize, 2, 8] {
+                for threads in [1usize, 3] {
+                    let at = format!("{kind}, shards={shards}, threads={threads}");
+                    let mut g1 = synthetic(120, 480, &gen);
+                    let mut g2 = g1.clone();
+                    let opts = BpOptions::default().with_threads(threads);
+                    let s1 = ParNodeEngine.run(&mut g1, &opts).unwrap();
+                    let s2 = ShardedEngine::new(shards).run(&mut g2, &opts).unwrap();
+                    assert_eq!(s1.iterations, s2.iterations, "{at}");
+                    assert_eq!(s1.node_updates, s2.node_updates, "{at}");
+                    assert_eq!(s1.message_updates, s2.message_updates, "{at}");
+                    for (a, b) in s1.per_iteration.iter().zip(&s2.per_iteration) {
+                        assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "{at}");
+                    }
+                    assert!(beliefs_bitwise_equal(&g1, &g2), "{at}");
                 }
-                assert!(beliefs_bitwise_equal(&g1, &g2), "shards={shards}");
             }
         }
     }
@@ -1693,6 +1773,22 @@ mod tests {
         assert_eq!(session.evidence().len(), 3);
     }
 
+    /// Every shard's collect: `(full, nodes, packed)`.
+    type Collected = Vec<(bool, Vec<u32>, Vec<f32>)>;
+
+    fn collect_all(session: &mut ShardedSession, sx: &ShardedExec) -> Collected {
+        session
+            .states
+            .iter_mut()
+            .zip(&sx.shards)
+            .map(|(st, shard)| {
+                let (mut nodes, mut packed) = (Vec::new(), Vec::new());
+                let full = st.take_changed(shard, &mut nodes, &mut packed);
+                (full, nodes, packed)
+            })
+            .collect()
+    }
+
     #[test]
     fn session_reset_then_rerun_is_reproducible() {
         let base = synthetic(60, 240, &GenOptions::new(2).with_seed(9));
@@ -1700,21 +1796,59 @@ mod tests {
         let trace = Dispatch::none();
         let mut sx = ShardedExec::compile(&base, 3);
         let mut session = ShardedSession::new(&mut sx, 1).unwrap();
-        session.apply_evidence(&mut sx, &[(7, 1)], &[]).unwrap();
-        session.run("dist", &mut sx, &opts, &trace).unwrap();
-        let first = session.beliefs();
+        // A cold run, then a warm follow-up with different evidence;
+        // each followed by a collect.
+        let pass = |session: &mut ShardedSession, sx: &mut ShardedExec| {
+            session.apply_evidence(sx, &[(7, 1)], &[]).unwrap();
+            session.run("dist", sx, &opts, &trace).unwrap();
+            let cold = (session.beliefs(), collect_all(session, sx));
+            let before = session.beliefs();
+            session.apply_evidence(sx, &[(30, 0)], &[7]).unwrap();
+            session.run("dist", sx, &opts, &trace).unwrap();
+            let after = session.beliefs();
+            let warm = collect_all(session, sx);
+            (cold, warm, before, after)
+        };
+        let (first, first_warm, before, after) = pass(&mut session, &mut sx);
+        assert!(first.1.iter().all(|(full, _, _)| *full));
+        // The warm collect names, ascending, at least every node whose
+        // bits moved, with its current beliefs.
+        for (k, (full, nodes, packed)) in first_warm.iter().enumerate() {
+            assert!(!full);
+            assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+            let (lo, hi) = sx.meta.ranges[k];
+            let mut at = 0;
+            for v in lo..hi {
+                let (a, b) = (
+                    session.node_slice(&before, v),
+                    session.node_slice(&after, v),
+                );
+                let listed = nodes.binary_search(&(v - lo)).is_ok();
+                if listed {
+                    assert_eq!(&packed[at..at + b.len()], b, "node {v}");
+                    at += b.len();
+                }
+                let moved = a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits());
+                assert!(listed || !moved, "node {v} moved but was not collected");
+            }
+            assert_eq!(at, packed.len());
+        }
+        assert!(first_warm.iter().any(|(_, nodes, _)| !nodes.is_empty()));
 
-        // Warm follow-up with different evidence, then reset and replay
-        // the original query cold: bitwise the same answer.
-        session.apply_evidence(&mut sx, &[(30, 0)], &[7]).unwrap();
-        session.run("dist", &mut sx, &opts, &trace).unwrap();
+        // Reset and replay: bitwise the same answers and the same collects.
         session.reset(&mut sx).unwrap();
         assert!(session.evidence().is_empty());
-        session.apply_evidence(&mut sx, &[(7, 1)], &[]).unwrap();
-        session.run("dist", &mut sx, &opts, &trace).unwrap();
-        for (x, y) in first.iter().zip(&session.beliefs()) {
+        let (again, again_warm, _, _) = pass(&mut session, &mut sx);
+        for (x, y) in first.0.iter().zip(&again.0) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+        let bits = |c: &Collected| -> Vec<(bool, Vec<u32>, Vec<u32>)> {
+            c.iter()
+                .map(|(f, n, p)| (*f, n.clone(), p.iter().map(|x| x.to_bits()).collect()))
+                .collect()
+        };
+        assert_eq!(bits(&first.1), bits(&again.1));
+        assert_eq!(bits(&first_warm), bits(&again_warm));
     }
 
     #[test]
@@ -1885,6 +2019,172 @@ mod tests {
                         "{at}"
                     );
                 }
+            }
+        }
+    }
+
+    /// One Jacobi sweep of `nodes` written out plainly, one kernel call
+    /// per arc: the reference a cached [`sweep_shard`] must match bit for
+    /// bit. Returns the new local beliefs and the per-node diffs.
+    fn per_arc_sweep(shard: &ExecShard, prev: &[f32], nodes: &[u32]) -> (Vec<f32>, Vec<f32>) {
+        let mut next = prev[..shard.local_len()].to_vec();
+        let mut diffs = Vec::new();
+        for &v in nodes {
+            let (off, c) = (shard.slot_off(v as usize), shard.slot_card(v as usize));
+            let mut acc = shard.priors[off..off + c].to_vec();
+            let mut msg = vec![0.0f32; c];
+            for (j, arc) in shard.in_arcs_of(v as usize).iter().enumerate() {
+                let s = arc.src_off as usize;
+                let src = &prev[s..s + arc.src_card as usize];
+                kernels::message_packed(src, shard.potential(arc), &mut msg);
+                kernels::mul_assign_packed(&mut acc, &msg);
+                if j % 8 == 7 {
+                    kernels::scale_max_to_one_packed(&mut acc);
+                }
+            }
+            kernels::normalize_packed(&mut acc);
+            diffs.push(kernels::l1_diff_packed(&acc, &prev[off..off + c]));
+            next[off..off + c].copy_from_slice(&acc);
+        }
+        (next, diffs)
+    }
+
+    /// [`ShardedSession::run`]'s sweep loop on `session`'s own states and
+    /// frontier, checking every full sweep of every shard against
+    /// [`per_arc_sweep`]. Returns (queue sweeps, full sweeps, full sweeps
+    /// that read a fresh message cache).
+    fn run_checked(
+        session: &mut ShardedSession,
+        sx: &ShardedExec,
+        opts: &BpOptions,
+        at: &str,
+    ) -> (u32, u32, u32) {
+        let shards = sx.shards.len();
+        let cold = std::mem::replace(&mut session.cold, false);
+        let (mut slots, mut values) = (Vec::new(), Vec::new());
+        for (k, shard) in sx.shards.iter().enumerate() {
+            session.states[k].take_exports(shard, cold, &mut slots, &mut values);
+            session.frontier.publish(k, &slots, &values).unwrap();
+        }
+        if cold {
+            session.frontier.resync();
+        }
+        let mut schedule = SweepSchedule::new(opts, !cold && session.queued());
+        let mut reports = vec![SweepReport::default(); shards];
+        let mut exported = vec![Vec::new(); shards];
+        let mut swept = vec![false; shards];
+        let (mut queue_sweeps, mut full_sweeps, mut cached) = (0, 0, 0);
+        loop {
+            let phase = schedule.phase();
+            let mut sum = 0.0f32;
+            for (k, shard) in sx.shards.iter().enumerate() {
+                let st = &mut session.states[k];
+                swept[k] = match phase {
+                    SweepPhase::Full => !st.active.is_empty(),
+                    SweepPhase::Queue => st.queued() > 0 || session.frontier.has_wakes(k),
+                };
+                if !swept[k] {
+                    continue;
+                }
+                session.frontier.take_halo(k, &mut slots, &mut values);
+                st.apply_halo(shard, &slots, &values).unwrap();
+                let want =
+                    (phase == SweepPhase::Full).then(|| per_arc_sweep(shard, &st.prev, &st.active));
+                let report = &mut reports[k];
+                sweep_shard(
+                    shard,
+                    st,
+                    phase,
+                    opts.queue_threshold,
+                    &session.pool,
+                    session.threads,
+                    report,
+                );
+                if let Some((next, diffs)) = want {
+                    let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    let sweep = schedule.tracker().iterations();
+                    assert_eq!(
+                        bits(&report.diffs),
+                        bits(&diffs),
+                        "{at}: sweep {sweep}, shard {k} diffs"
+                    );
+                    assert_eq!(
+                        bits(&st.prev[..shard.local_len()]),
+                        bits(&next),
+                        "{at}: sweep {sweep}, shard {k} beliefs"
+                    );
+                    cached += u32::from(st.scratch.cache.is_fresh());
+                }
+                st.export_values(shard, &report.exports, &mut exported[k]);
+                for &d in &report.diffs {
+                    sum += d;
+                }
+            }
+            for k in (0..shards).filter(|&k| swept[k]) {
+                session
+                    .frontier
+                    .publish(k, &reports[k].exports, &exported[k])
+                    .unwrap();
+            }
+            match phase {
+                SweepPhase::Queue => queue_sweeps += 1,
+                SweepPhase::Full => full_sweeps += 1,
+            }
+            if !schedule.record(sum, session.queued()) {
+                break;
+            }
+        }
+        for st in &mut session.states {
+            st.clear_queue();
+        }
+        session.frontier.clear_wakes();
+        (queue_sweeps, full_sweeps, cached)
+    }
+
+    #[test]
+    fn cached_sweeps_match_a_per_arc_sweep_bitwise() {
+        // One pool matrix, two (asymmetric: a shard may intern either
+        // orientation first), and per-edge matrices (cache off).
+        let kinds = [
+            ("smoothing", PotentialKind::SharedSmoothing(0.3), true),
+            ("shared-random", PotentialKind::SharedRandom, true),
+            ("per-edge", PotentialKind::PerEdgeRandom, false),
+        ];
+        let opts = BpOptions::default();
+        for (kind, potentials, caches) in kinds {
+            let gen = GenOptions::new(2).with_seed(42).with_potentials(potentials);
+            let base = synthetic(400, 1600, &gen);
+            let stream = evidence_stream(400, 7, 5);
+            let mut sx = ShardedExec::compile(&base, 3);
+            if kind == "shared-random" {
+                assert!(sx.shards.iter().all(|s| s.pool_matrices == 2));
+            }
+            let mut checked = ShardedSession::new(&mut sx, 2).unwrap();
+            let mut plain = ShardedSession::new(&mut sx, 2).unwrap();
+            let (mut queue_sweeps, mut full_sweeps, mut cached) = (0, 0, 0);
+            for (r, ev) in stream.iter().enumerate() {
+                let at = format!("{kind}, request {r}");
+                let (observe, clear) = delta_to(checked.evidence(), ev);
+                checked.apply_evidence(&mut sx, &observe, &clear).unwrap();
+                plain.apply_evidence(&mut sx, &observe, &clear).unwrap();
+                let (q, f, c) = run_checked(&mut checked, &sx, &opts, &at);
+                (queue_sweeps, full_sweeps, cached) =
+                    (queue_sweeps + q, full_sweeps + f, cached + c);
+                // The checked loop is the session's own schedule.
+                plain
+                    .run("plain", &mut sx, &opts, &Dispatch::none())
+                    .unwrap();
+                let (a, b) = (checked.beliefs(), plain.beliefs());
+                assert!(
+                    a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{at}"
+                );
+            }
+            assert!(queue_sweeps > 0 && full_sweeps > 0, "{kind}: both phases");
+            if caches {
+                assert_eq!(cached, full_sweeps * 3, "{kind}: every full sweep cached");
+            } else {
+                assert_eq!(cached, 0, "{kind}: per-edge matrices never cache");
             }
         }
     }

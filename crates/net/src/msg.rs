@@ -14,7 +14,8 @@
 //! every sweep (warm: queue phase then full phase; cold: full only):
 //!   SparseSweep {full, slots, halo}     ──▶  queue (or full) sweep
 //!   ◀── SparseSweepDone {slots, exports,     (moved exports, wake bits,
-//!                        diffs, queued}       computed diffs)
+//!                        diffs, computed,     non-zero diffs, computed
+//!                        queued}              node count)
 //!   … until a full sweep's global sum is below the threshold …
 //!   Collect                             ──▶
 //!   ◀──────────── Beliefs {full, nodes, packed}  (nodes moved since the
@@ -29,10 +30,11 @@
 //! entries that moved since its last sweep (every entry after a reset),
 //! so the worker's halo slots always match what the single-process
 //! session would have copied. Diffs come back for the computed nodes
-//! only, ascending; the router left-folds them shard by shard — skipped
-//! nodes would add exact zeros, so the `f32` sum is the full sweep's,
-//! and bit identity of that fold is what keeps distributed posteriors
-//! equal to `ShardedSession`'s.
+//! whose diff is not zero, ascending, with the count of computed nodes
+//! beside them; the router left-folds them shard by shard. Skipped nodes
+//! and zero diffs would add exact zeros to a non-negative `f32` sum, so
+//! the sum is the full sweep's, and bit identity of that fold is what
+//! keeps distributed posteriors equal to `ShardedSession`'s.
 //!
 //! The dense [`WireMsg::Sweep`]/[`WireMsg::SweepDone`] pair of wire
 //! version 1 keeps its codec, but router and worker no longer exchange
@@ -43,7 +45,7 @@ use credo_graph::ShardCopy;
 use credo_io::{ByteReader, IoError};
 
 /// Protocol version; bumped on any wire-layout change.
-pub const WIRE_VERSION: u32 = 2;
+pub const WIRE_VERSION: u32 = 3;
 
 const TAG_PING: u8 = 1;
 const TAG_PONG: u8 = 2;
@@ -212,8 +214,11 @@ pub enum WireMsg {
         slots: Vec<u32>,
         /// The entries' beliefs, concatenated.
         exports: Vec<f32>,
-        /// L1 change of every computed node, ascending local id.
+        /// L1 change of every computed node whose change is not zero,
+        /// ascending local id.
         diffs: Vec<f32>,
+        /// Nodes computed this sweep, zero diffs included.
+        computed: u64,
         /// Nodes queued for the next queue-phase sweep.
         queued: u64,
         /// Message updates this sweep (for stats).
@@ -444,6 +449,7 @@ impl WireMsg {
                 slots,
                 exports,
                 diffs,
+                computed,
                 queued,
                 messages,
             } => {
@@ -455,6 +461,7 @@ impl WireMsg {
                 w.u32s(slots);
                 w.f32s(exports);
                 w.f32s(diffs);
+                w.u64(*computed);
                 w.u64(*queued);
                 w.u64(*messages);
             }
@@ -571,6 +578,7 @@ impl WireMsg {
                 slots: r.u32s("slots")?,
                 exports: r.f32s("exports")?,
                 diffs: r.f32s("diffs")?,
+                computed: r.u64("computed")?,
                 queued: r.u64("queued")?,
                 messages: r.u64("messages")?,
             },
@@ -690,7 +698,8 @@ mod tests {
                 index: 2,
                 slots: vec![1 | WAKE_BIT, 6],
                 exports: vec![0.4, 0.6, 0.3, 0.7],
-                diffs: vec![2.5e-3, 0.0, 1.5e-3],
+                diffs: vec![2.5e-3, 1.5e-3],
+                computed: 3,
                 queued: 12,
                 messages: 96,
             },
@@ -772,6 +781,36 @@ mod tests {
                 let _ = WireMsg::decode(&corrupt);
             }
         }
+    }
+
+    #[test]
+    fn sparse_sweep_done_carries_nonzero_diffs_and_the_computed_count() {
+        // A certifying sweep of 5 nodes, 3 of them unmoved: only the two
+        // non-zero diffs travel, in order and bit for bit, beside the
+        // count of 5.
+        let msg = WireMsg::SparseSweepDone {
+            graph: "g".into(),
+            run_id: 3,
+            sweep: 2,
+            index: 1,
+            slots: vec![],
+            exports: vec![],
+            diffs: vec![f32::MIN_POSITIVE, 7.5e-4],
+            computed: 5,
+            queued: 0,
+            messages: 20,
+        };
+        let bytes = msg.encode();
+        let back = WireMsg::decode(&bytes).unwrap();
+        assert_eq!(back, msg);
+        let WireMsg::SparseSweepDone {
+            diffs, computed, ..
+        } = back
+        else {
+            panic!("wrong variant");
+        };
+        assert_eq!(computed, 5);
+        assert_eq!(diffs[0].to_bits(), f32::MIN_POSITIVE.to_bits());
     }
 
     #[test]

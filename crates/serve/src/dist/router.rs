@@ -651,9 +651,10 @@ impl DistRouter {
     /// full schedule; a warm run first sweeps the changed-evidence queue
     /// (shards with nothing queued and nothing woken are skipped), then
     /// full sweeps until one certifies convergence. The convergence sum
-    /// is a running `f32` fold over each shard's ascending-id computed
-    /// diffs in shard order — the identical fold the session computes, so
-    /// iteration counts and posteriors match it bit for bit.
+    /// is a running `f32` fold over each shard's ascending-id non-zero
+    /// diffs in shard order. The dropped zeros would add nothing, so this
+    /// is the identical fold the session computes, and iteration counts
+    /// and posteriors match it bit for bit.
     // `j` indexes the parallel per-shard arrays (assignment, active,
     // queued, swept); iterator zips would obscure the shard-order
     // send-all/receive-all structure the bit-exactness fold depends on.
@@ -788,7 +789,7 @@ impl DistRouter {
                     continue;
                 }
                 let addr = &g.assignment[j];
-                let (diffs, q) = match recv_from(links, addr)? {
+                let (diffs, computed, q) = match recv_from(links, addr)? {
                     WireMsg::SparseSweepDone {
                         run_id: r,
                         sweep: s,
@@ -796,22 +797,26 @@ impl DistRouter {
                         slots,
                         exports,
                         diffs,
+                        computed,
                         queued: q,
                         ..
                     } if r == run_id && s == sweep_no && index == j as u32 => {
                         g.frontier
                             .publish(j, &slots, &exports)
                             .map_err(|e| desync(addr, e))?;
-                        (diffs, q)
+                        (diffs, computed, q)
                     }
                     other => return Err(unexpected(addr, "Sweep", other)),
                 };
-                let computed = diffs.len() as u64;
-                if computed > active[j] || (phase == SweepPhase::Full && computed != active[j]) {
+                if computed > active[j]
+                    || (phase == SweepPhase::Full && computed != active[j])
+                    || diffs.len() as u64 > computed
+                {
                     return Err(desync(
                         addr,
                         format!(
-                            "{computed} diffs from a shard with {} active nodes",
+                            "{} diffs of {computed} computed nodes from a shard with {} active nodes",
+                            diffs.len(),
                             active[j]
                         ),
                     ));

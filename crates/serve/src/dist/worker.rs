@@ -204,6 +204,10 @@ impl Worker<'_> {
         let mut exports = Vec::new();
         ws.state
             .export_values(&ws.shard, &report.exports, &mut exports);
+        // A zero diff adds nothing to the router's non-negative fold, so
+        // only the non-zero ones travel, in order, beside the count.
+        let computed = report.diffs.len() as u64;
+        report.diffs.retain(|&d| d != 0.0);
         WireMsg::SparseSweepDone {
             graph: graph.to_string(),
             run_id,
@@ -212,6 +216,7 @@ impl Worker<'_> {
             slots: report.exports,
             exports,
             diffs: report.diffs,
+            computed,
             queued: ws.state.queued() as u64,
             messages: report.messages,
         }
